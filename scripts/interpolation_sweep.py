@@ -8,29 +8,13 @@ Usage: interpolation_sweep.py [max_weight] [atoms]
 import sys
 from collections import Counter
 
-from proofkit.core import FMultiset, SplitAnt
+from proofkit.core import SplitAnt, sub_multisets
 from proofkit.calculus import builtin
 from proofkit.prover import prove, shared_cache
 from proofkit.interpolation import (InterpolationProblem, craig_interpolate,
                                     verify_certificate)
 from proofkit.syntax import render_formula
 from proofkit import corpus
-
-
-def all_gammas(ant):
-    groups = [(f, ant.count(f)) for f in ant.support()]
-
-    def rec(i):
-        if i == len(groups):
-            yield ()
-            return
-        f, n = groups[i]
-        for rest in rec(i + 1):
-            for k in range(n + 1):
-                yield (f,) * k + rest
-
-    for items in rec(0):
-        yield FMultiset(items)
 
 
 def main():
@@ -44,8 +28,8 @@ def main():
         res = prove(g4, s, cache=cache)
         if not res.provable:
             continue
-        for gamma in all_gammas(s.ant):
-            split = SplitAnt(gamma, s.ant.difference(gamma), s.suc)
+        for gamma, pi in sub_multisets(s.ant):
+            split = SplitAnt(gamma, pi, s.suc)
             cert = craig_interpolate(InterpolationProblem(g4, res.derivation, split),
                                      cache)
             splits += 1

@@ -16,7 +16,9 @@ those calculi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import core
 from .core import (Formula, FMultiset, Sequent, EMPTY, box, metavars)
@@ -63,11 +65,32 @@ class RuleInstance:
 
 @dataclass
 class Calculus:
-    name: str
+    """A calculus as data.  Equality compares content, never the name, and
+    search behaviour follows from content alone: `wc_admissible` is the
+    declared `structural wc-admissible`, `contractions` is derived."""
+
+    name: str = field(compare=False)
     mode: str                       # "single" | "multi"
     axioms: list                    # [(name, MetaSequent)]
     rules: list                     # [RuleSchema]
     termination_measure: str | None = None
+    # weakening and contraction are depth-preserving admissible: search may
+    # run on support sequents and pad the derivation back
+    wc_admissible: bool = False
+    # the prover's cache shared between queries (see prover.shared_cache)
+    shared: object = field(default=None, init=False, compare=False, repr=False)
+
+    @cached_property
+    def contractions(self):
+        """{rule name: duplicated pattern} for every contraction rule: one
+        premise that repeats one formula pattern of the conclusion on one
+        side and is otherwise the conclusion."""
+        out = {}
+        for r in self.rules:
+            pat = _duplicated_pattern(r)
+            if pat is not None:
+                out[r.name] = pat
+        return out
 
     def rule(self, name) -> RuleSchema:
         for r in self.rules:
@@ -80,6 +103,20 @@ class Calculus:
 
     def __repr__(self):
         return f"<calculus {self.name}: {len(self.axioms)} axioms, {len(self.rules)} rules>"
+
+
+def _duplicated_pattern(rule: RuleSchema):
+    if len(rule.premises) != 1:
+        return None
+    prem, conc = rule.premises[0], rule.conclusion
+    for grown, base, p_other, c_other in ((prem.ant, conc.ant, prem.suc, conc.suc),
+                                          (prem.suc, conc.suc, prem.ant, conc.ant)):
+        if Counter(p_other) != Counter(c_other):
+            continue
+        for item in set(base):
+            if item[0] == "pat" and Counter(grown) == Counter(base + (item,)):
+                return item[1]
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +347,7 @@ _G3CP = """
 calculus G3cp
 mode multi
 measure degree
+structural wc-admissible
 axiom At : G, p? => p?, D
 axiom Lbot : G, false => D
 axiom Rtop : G => true, D
@@ -324,6 +362,7 @@ rule R-> : G => A -> B, D <- G, A => B, D
 _G3IP = """
 calculus G3ip
 mode single
+structural wc-admissible
 axiom At : G, p? => p?
 axiom Lbot : G, false => D
 axiom Rtop : G => true
@@ -395,36 +434,45 @@ def _validate_metasequent(owner, ms: MetaSequent, mode):
                                f"single-conclusion calculus")
 
 
-def _build(doc_text) -> Calculus:
-    return from_document(parse_calculus(doc_text))
+def _validate_wc(owner, ms: MetaSequent, mode):
+    """The shape padding needs: a plain antecedent context, a succedent
+    context when multi-conclusion, and no boxed context."""
+    def has_mv(items):
+        return any(it[0] == "mv" for it in items)
+
+    if (any(it[0] == "bmv" for it in ms.items()) or not has_mv(ms.ant)
+            or (mode == "multi" and not has_mv(ms.suc))):
+        raise BadRuleShape(f"{owner}: {ms!r} lacks the plain contexts that "
+                           f"'structural wc-admissible' needs")
 
 
 def from_document(doc) -> Calculus:
     """Build a calculus from a parsed CalculusDoc, checking the additive
-    context discipline and the single-conclusion width bound."""
-    axioms = []
-    for n, ms in doc.axioms:
-        seq = MetaSequent(*ms)
-        _validate_metasequent(f"axiom {n}", seq, doc.sequent_mode)
-        axioms.append((n, seq))
-    rules = []
-    for n, prems, conc in doc.rules:
-        schema = RuleSchema(n, tuple(MetaSequent(*p) for p in prems),
-                            MetaSequent(*conc))
-        for ms in (schema.conclusion, *schema.premises):
-            _validate_metasequent(f"rule {n}", ms, doc.sequent_mode)
-        rules.append(schema)
-    return Calculus(doc.name, doc.sequent_mode, axioms, rules, doc.measure)
+    context discipline, the single-conclusion width bound, and the context
+    shape a `structural wc-admissible` declaration needs."""
+    axioms = [(n, MetaSequent(*ms)) for n, ms in doc.axioms]
+    rules = [RuleSchema(n, tuple(MetaSequent(*p) for p in prems), MetaSequent(*conc))
+             for n, prems, conc in doc.rules]
+    owned = [(f"axiom {n}", ms) for n, ms in axioms]
+    owned += [(f"rule {r.name}", ms) for r in rules for ms in (r.conclusion, *r.premises)]
+    for owner, ms in owned:
+        _validate_metasequent(owner, ms, doc.sequent_mode)
+        if doc.wc_admissible:
+            _validate_wc(owner, ms, doc.sequent_mode)
+    return Calculus(doc.name, doc.sequent_mode, axioms, rules, doc.measure,
+                    doc.wc_admissible)
 
 
 _BUILTINS: dict = {}
+_SOURCES: dict = {}      # builtin key -> DSL text
 
 
 def _register(text):
-    calc = _build(text)
+    calc = from_document(parse_calculus(text))
     ok, offenders = is_instance_finite(calc)
     assert ok, f"builtin {calc.name} with fresh premise variables: {offenders}"
     _BUILTINS[calc.name.lower()] = calc
+    _SOURCES[calc.name.lower()] = text
     return calc
 
 

@@ -39,7 +39,7 @@ class Formula:
     """
 
     __slots__ = ("kind", "a", "b", "_hash", "_weight", "_degree",
-                 "_atoms", "_has_meta", "_key")
+                 "_atoms", "_key")
 
     def __init__(self, kind, a=None, b=None):
         self.kind = kind
@@ -66,30 +66,20 @@ class Formula:
         from .syntax import render_formula
         return render_formula(self)
 
-    @property
-    def is_meta(self):
-        if self._atoms is None:
-            self._scan()
-        return self._has_meta
-
     def _scan(self):
         names = set()
-        meta = False
         stack = [self]
         while stack:
             f = stack.pop()
             k = f.kind
             if k == ATOM:
                 names.add(f.a)
-            elif k in (FMETA, AMETA):
-                meta = True
             elif k in BINARY:
                 stack.append(f.a)
                 stack.append(f.b)
             elif k in UNARY:
                 stack.append(f.a)
         self._atoms = frozenset(names)
-        self._has_meta = meta
 
     def sort_key(self):
         if self._key is None:
@@ -137,6 +127,51 @@ def disj(a: Formula, b: Formula) -> Formula:
 
 def imp(a: Formula, b: Formula) -> Formula:
     return _mk(IMP, a, b)
+
+
+# constant-folding constructors: drop top/bot units, keep conjuncts and
+# disjuncts in canonical order, and fold a -> a to true
+
+def fconj(a: Formula, b: Formula) -> Formula:
+    if a is Top:
+        return b
+    if b is Top:
+        return a
+    if a is Bot or b is Bot:
+        return Bot
+    return conj(*sorted((a, b), key=Formula.sort_key))
+
+
+def fdisj(a: Formula, b: Formula) -> Formula:
+    if a is Bot:
+        return b
+    if b is Bot:
+        return a
+    if a is Top or b is Top:
+        return Top
+    return disj(*sorted((a, b), key=Formula.sort_key))
+
+
+def fimp(a: Formula, b: Formula) -> Formula:
+    if a is Top:
+        return b
+    if b is Top or a is Bot or a == b:
+        return Top
+    return imp(a, b)
+
+
+def fconj_all(xs) -> Formula:
+    out = Top
+    for x in xs:
+        out = fconj(out, x)
+    return out
+
+
+def fdisj_all(xs) -> Formula:
+    out = Bot
+    for x in xs:
+        out = fdisj(out, x)
+    return out
 
 
 def neg(a: Formula) -> Formula:
@@ -426,6 +461,19 @@ class Sequent:
         return render_sequent(self)
 
 
+def sub_multisets(ms: FMultiset, movable=None):
+    """Every split of ms into (part, rest) with part + rest = ms.  Only
+    members f with movable(f) (all, by default) may go into part.  The first
+    distinct member's share varies fastest."""
+    out = [((), ())]
+    for f in reversed(ms.support().items):
+        n = ms.count(f)
+        ks = range(n + 1) if movable is None or movable(f) else (0,)
+        out = [((f,) * k + part, (f,) * (n - k) + rest)
+               for part, rest in out for k in ks]
+    return [(FMultiset(part), FMultiset(rest)) for part, rest in out]
+
+
 def sequent(ant=(), suc=()) -> Sequent:
     return Sequent(FMultiset(ant), FMultiset(suc))
 
@@ -540,8 +588,3 @@ def multiset_less(a: FMultiset, b: FMultiset, measure="weight") -> bool:
 
 def sequent_less(s1: Sequent, s2: Sequent, measure="weight") -> bool:
     return multiset_less(s1.ant.union(s1.suc), s2.ant.union(s2.suc), measure)
-
-
-def sequent_measure_total(s: Sequent, measure="weight") -> int:
-    m = _measure_fn(measure)
-    return sum(m(f) for f in s.ant) + sum(m(f) for f in s.suc)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import (Formula, FMultiset, Sequent, SplitAnt, Top, Bot, atoms,
-                   conj, disj, imp)
+                   fconj, fconj_all, fdisj_all, fimp, imp)
 from .calculus import Calculus, builtin, axiom_instance
 from .classify import classify_rule, RIGHT, NOT
 from .prover import (Derivation, ProverCache, check_derivation, prove,
@@ -61,49 +61,6 @@ class InterpolantCertificate:
     right_derivation: Derivation     # proves  P, alpha => D
 
 
-# unit-dropping folds; interpolants stay unsimplified otherwise
-def _fand(a, b):
-    if a is Top:
-        return b
-    if b is Top:
-        return a
-    if a is Bot or b is Bot:
-        return Bot
-    return conj(*sorted((a, b), key=Formula.sort_key))
-
-
-def _for(a, b):
-    if a is Bot:
-        return b
-    if b is Bot:
-        return a
-    if a is Top or b is Top:
-        return Top
-    return disj(*sorted((a, b), key=Formula.sort_key))
-
-
-def _fimp(a, b):
-    if a is Top:
-        return b
-    if b is Top or a is Bot:
-        return Top
-    return imp(a, b)
-
-
-def _fand_all(xs):
-    out = Top
-    for x in xs:
-        out = _fand(out, x)
-    return out
-
-
-def _for_all(xs):
-    out = Bot
-    for x in xs:
-        out = _for(out, x)
-    return out
-
-
 def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
     """Interpolant for a partitioned axiom instance."""
     s = split.underlying()
@@ -133,7 +90,7 @@ def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
             on_gamma = [f for f in fis if f in gamma]
             if not on_gamma:
                 return Top
-            return _fand_all(on_gamma)
+            return fconj_all(on_gamma)
     raise NotAnAxiom(repr(s))
 
 
@@ -159,11 +116,11 @@ class _Extractor:
             raise UnsupportedRule(f"cannot interpolate across rule {name!r}")
         if kind.kind == RIGHT:
             # premise antecedents extend the context on the P side only
-            return _fand_all(self.run(child, gamma) for child in node.children)
+            return fconj_all(self.run(child, gamma) for child in node.children)
         principal = self._principal(name, node.assignment)
         if principal in node.conclusion.ant.difference(gamma):
             # part 1: everything the rule introduces stays on the P side
-            return _fand_all(self.run(child, gamma) for child in node.children)
+            return fconj_all(self.run(child, gamma) for child in node.children)
         if principal in gamma:
             return self._left_part2(node, gamma, principal)
         raise UnsupportedRule(f"principal of {name} not found in the end-sequent")
@@ -197,7 +154,7 @@ class _Extractor:
             else:
                 extra = self._rule_formulas(prem_ms, node.assignment)
                 alphas.append(self.run(child, gamma_rest.union(extra)))
-        return _fimp(_fand_all(betas), _for_all(alphas))
+        return fimp(fconj_all(betas), fdisj_all(alphas))
 
     def _lp_imp(self, node, gamma):
         """The two nontrivial Lp-> cases give beta & p and p -> beta."""
@@ -212,10 +169,10 @@ class _Extractor:
             beta = self.run(child, gamma)
             if p_on_pi:
                 return beta                       # both on the P side
-            return _fand(beta, patom)             # p in G, p->phi in P
+            return fconj(beta, patom)             # p in G, p->phi in P
         beta = self.run(child, gamma.remove(prin).add(phi))
         if p_on_pi:
-            return _fimp(patom, beta)             # p in P, p->phi in G
+            return fimp(patom, beta)             # p in P, p->phi in G
         return beta                               # both on the G side
 
 

@@ -1,14 +1,20 @@
 """Backward proof search, derivation checking, and admissibility probes.
 
 The search is depth-first backward chaining over `match_conclusion`.  For
-terminating calculi (a registered termination measure: G3cp, the G4 family)
-plain memoized recursion is a decision procedure.  For the rest the engine
-keeps the current branch and fails on repeats; refutations computed below a
-repeat hit are not cached, so cached refutations always come from exhaustive
-subsearches.  G3ip is searched on support sequents (duplicates dropped on
-both sides), which is sound and complete because weakening and contraction
-are depth-preserving admissible there; found derivations are padded back to
-the original multiset.
+terminating calculi (a registered termination measure) plain memoized
+recursion is a decision procedure.  For the rest the engine keeps the current
+branch and fails on repeats; refutations computed below a repeat hit are not
+cached, so cached refutations always come from exhaustive subsearches.
+
+What the calculus declares or implies picks the rest:
+
+  - `structural wc-admissible` (weakening and contraction depth-preserving
+    admissible): search runs on support sequents (duplicates dropped on both
+    sides) and found derivations are padded back to the original multisets.
+    When such a search is not terminating (no measure, or a cut pool) it
+    decides by saturating the finite space of reachable support sequents.
+  - contraction rules (`Calculus.contractions`): each duplicated formula is
+    contracted at most twice per branch, a documented heuristic.
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from functools import lru_cache
 from . import core
 from .core import (Formula, FMultiset, Sequent, EMPTY, disj, subformulas)
 from .calculus import (Calculus, RuleInstance, axiom_instance, builtin,
-                       instantiate, match_conclusion, match_metasequent)
+                       instantiate, match_conclusion, match_metasequent,
+                       subst_pattern)
 
 sys.setrecursionlimit(100_000)
 
@@ -33,13 +40,6 @@ class NotADisjunction(Exception):
     pass
 
 
-# calculi whose search runs on support sequents / with contraction caps
-_SET_REDUCE = {"G3ip", "G3cp"}
-# loop-checked calculi with a subformula-closed search space: decided by
-# bottom-up saturation of the reachable support sequents (a least fixpoint,
-# so refutations are exhaustive and cacheable)
-_SATURATE = {"G3ip"}
-_CONTRACTION_RULES = {"G1cp": ("LC", "RC"), "G1ip": ("LC",)}
 _CONTRACTION_CAP = 2
 
 
@@ -124,7 +124,8 @@ class _Budget(Exception):
 
 
 class ProverCache:
-    """Per-calculus memo shared between queries on request.
+    """Per-calculus memo shared between queries on request; it answers for
+    its own calculus object only.
 
     proved maps a sequent key to ("ax", name, asg) or (rule, asg, premises);
     refuted holds keys with exhaustively failed searches; depths holds the
@@ -143,15 +144,11 @@ class ProverCache:
         self.depths.clear()
 
 
-_shared_caches: dict = {}
-
-
 def shared_cache(calc: Calculus) -> ProverCache:
-    cache = _shared_caches.get(id(calc))
-    if cache is None:
-        cache = ProverCache(calc)
-        _shared_caches[id(calc)] = cache
-    return cache
+    """The cache kept on calc itself, so it lives exactly as long as calc."""
+    if calc.shared is None:
+        calc.shared = ProverCache(calc)
+    return calc.shared
 
 
 def _support(s: Sequent) -> Sequent:
@@ -160,13 +157,19 @@ def _support(s: Sequent) -> Sequent:
 
 class _Search:
     def __init__(self, calc, budget=None, cache=None, cut_pool=None):
+        if cache is not None and cache.calc is not calc:
+            raise ValueError(f"the cache belongs to {cache.calc.name}, not {calc.name}")
         self.calc = calc
         self.budget = budget or SearchBudget()
         self.cache = cache if cache is not None else ProverCache(calc)
         self.cut_pool = list(dict.fromkeys(cut_pool)) if cut_pool else None
         self.terminating = calc.termination_measure is not None and not self.cut_pool
-        self.set_reduce = calc.name in _SET_REDUCE
-        self.caps = _CONTRACTION_RULES.get(calc.name, ())
+        self.set_reduce = calc.wc_admissible
+        # loop-checked wc-admissible search: a subformula-closed space of
+        # support sequents, decided by bottom-up saturation (a least
+        # fixpoint, so refutations are exhaustive and cacheable)
+        self.saturate = self.set_reduce and not self.terminating
+        self.caps = calc.contractions
         self.cut_rule = cut_rule(calc.mode) if self.cut_pool else None
         self.stats = SearchStats()
         self.branch = set()
@@ -193,7 +196,7 @@ class _Search:
         exhaustive (no repeat hit, no cap, no depth cut)."""
         if self.set_reduce:
             s = _support(s)
-        if self.calc.name in _SATURATE or (self.cut_pool and self.set_reduce):
+        if self.saturate:
             return self._saturate(s), True
         self._heuristic_refuted = {}
         return self._solve(s, self.budget.max_depth, {})
@@ -313,7 +316,7 @@ class _Search:
                 name = inst.rule.name
                 new_caps = caps
                 if name in self.caps:
-                    principal = _principal_of(inst)
+                    principal = subst_pattern(self.caps[name], inst.assignment)
                     count = caps.get((name, principal), 0)
                     if count >= _CONTRACTION_CAP:
                         absolute = False
@@ -395,10 +398,6 @@ def with_cut(calc: Calculus) -> Calculus:
                     calc.rules + [cut_rule(calc.mode)], None)
 
 
-def _principal_of(inst: RuleInstance):
-    return inst.assignment.get("A")
-
-
 def _axiom_assignment(calc, s, name):
     for n, ms in calc.axioms:
         if n == name:
@@ -410,9 +409,10 @@ def _axiom_assignment(calc, s, name):
 def pad_derivation(d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Derivation:
     """Weave extra context into every node.
 
-    Valid for the G3-family, whose schemas are additive with a single
-    antecedent context variable G (and succedent context D when
-    multi-conclusion), so the surplus rides along in the context bindings.
+    Valid for `structural wc-admissible` calculi, whose schemas all carry a
+    plain antecedent context (and a succedent context when multi-conclusion),
+    so the surplus rides along in the context bindings G and D; any other
+    binding drops the stored assignment and the checker re-derives one.
     """
     if not extra_ant and not extra_suc:
         return d
@@ -438,20 +438,23 @@ def pad_derivation(d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Deri
 # ---------------------------------------------------------------------------
 # public entry points
 
-def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
-          cache: ProverCache | None = None) -> ProofSearchResult:
-    """Backward proof search; sound, and complete for terminating calculi."""
-    if calc.mode == "single" and not s.is_single_conclusion():
-        raise ValueError(f"{calc.name} is single-conclusion; got {s!r}")
-    search = _Search(calc, budget, cache)
+def _run(search: _Search, s: Sequent) -> ProofSearchResult:
+    if search.calc.mode == "single" and not s.is_single_conclusion():
+        raise ValueError(f"{search.calc.name} is single-conclusion; got {s!r}")
     try:
         ok, absolute = search.solve(s)
     except _Budget:
         return ProofSearchResult("budget", stats=search.stats)
     if ok:
-        d = search.build(s)
-        return ProofSearchResult("provable", d, True, search.stats)
+        return ProofSearchResult("provable", search.build(s), True, search.stats)
     return ProofSearchResult("unprovable", None, absolute, search.stats)
+
+
+def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
+          cache: ProverCache | None = None) -> ProofSearchResult:
+    """Backward proof search; sound, and complete for terminating calculi.
+    A cache must belong to calc (ValueError otherwise)."""
+    return _run(_Search(calc, budget, cache), s)
 
 
 def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
@@ -465,16 +468,7 @@ def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
         cut_pool = sorted(pool, key=Formula.sort_key)
     if not cut_pool:
         return prove(calc, s, budget)
-    if calc.mode == "single" and not s.is_single_conclusion():
-        raise ValueError(f"{calc.name} is single-conclusion; got {s!r}")
-    search = _Search(calc, budget or SearchBudget(max_depth=64), None, cut_pool)
-    try:
-        ok, absolute = search.solve(s)
-    except _Budget:
-        return ProofSearchResult("budget", stats=search.stats)
-    if ok:
-        return ProofSearchResult("provable", search.build(s), True, search.stats)
-    return ProofSearchResult("unprovable", None, absolute, search.stats)
+    return _run(_Search(calc, budget or SearchBudget(max_depth=64), None, cut_pool), s)
 
 
 _LOGIC_CALCULI = {"CPC": "G3cp", "IPC": "G4ip", "IK": "G4iK", "IKD": "G4iKD", "LL": "G4LL"}
@@ -482,7 +476,6 @@ _LOGIC_CALCULI = {"CPC": "G3cp", "IPC": "G4ip", "IK": "G4iK", "IKD": "G4iKD", "L
 
 def calculus_for_logic(logic: str) -> Calculus:
     key = logic.upper().replace("□", "").replace("[]", "").replace("BOX", "")
-    key = {"IK": "IK", "IKD": "IKD"}.get(key, key)
     if key not in _LOGIC_CALCULI:
         raise KeyError(f"unknown logic {logic!r}; know {sorted(_LOGIC_CALCULI)}")
     return builtin(_LOGIC_CALCULI[key])
@@ -612,8 +605,9 @@ def min_depth(calc: Calculus, s: Sequent, memo=None):
 
 def invert(calc: Calculus, s: Sequent, side: str, principal: Formula):
     """Premises guaranteed provable by the inversion lemma when s is
-    provable and has the given principal formula on the given side."""
-    if calc.name not in ("G3cp", "G3ip"):
+    provable and has the given principal formula on the given side; calc
+    must have the content of G3cp or G3ip, whatever its name."""
+    if calc != builtin("G3cp") and calc != builtin("G3ip"):
         raise ShapeMismatch(f"inversion clauses cover G3cp/G3ip, not {calc.name}")
     single = calc.mode == "single"
     if side == "left":

@@ -323,12 +323,14 @@ class CalculusDoc:
     measure: str | None               # optional termination measure
     axioms: list                      # [(name, metasequent)]
     rules: list                       # [(name, [premise ms], conclusion ms)]
+    wc_admissible: bool = False       # `structural wc-admissible` declared
 
 
 def parse_calculus(text: str) -> CalculusDoc:
     name = None
     mode = "multi"
     measure = None
+    wc_admissible = False
     axioms = []
     rules = []
     seen = set()
@@ -350,6 +352,11 @@ def parse_calculus(text: str) -> CalculusDoc:
                 raise ParseError(f"bad measure {rest!r} on line {lineno}",
                                  SourceSpan(0, len(raw)), raw)
             measure = rest
+        elif head == "structural":
+            if rest != "wc-admissible":
+                raise ParseError(f"bad structural declaration {rest!r} on line {lineno}",
+                                 SourceSpan(0, len(raw)), raw)
+            wc_admissible = True
         elif head in ("axiom", "rule"):
             rname, sep, body = rest.partition(":")
             rname = rname.strip()
@@ -379,4 +386,4 @@ def parse_calculus(text: str) -> CalculusDoc:
                              SourceSpan(0, len(raw)), raw)
     if name is None:
         raise ParseError("missing 'calculus NAME' header", SourceSpan(0, 0), text[:40])
-    return CalculusDoc(name, mode, measure, axioms, rules)
+    return CalculusDoc(name, mode, measure, axioms, rules, wc_admissible)

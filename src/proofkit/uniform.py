@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 
 from . import core
 from .core import (Formula, FMultiset, Sequent, Top, Bot, atom, atoms,
-                   apply_subst, conj, disj, imp, conj_all, disj_all,
-                   interpret, seq_multiply, weight)
+                   apply_subst, conj, disj, imp, conj_all, disj_all, fconj,
+                   fconj_all, fdisj, fdisj_all, fimp, interpret, seq_multiply,
+                   sub_multisets)
 from .calculus import builtin
 from .prover import ProverCache, prove, shared_cache
 
@@ -93,63 +94,19 @@ def fold_constants(f: Formula) -> Formula:
     return imp(a, b)
 
 
-def _fand(a, b):
-    if a is Top:
-        return b
-    if b is Top:
-        return a
-    if a is Bot or b is Bot:
-        return Bot
-    return conj(*sorted((a, b), key=Formula.sort_key))
-
-
-def _for(a, b):
-    if a is Bot:
-        return b
-    if b is Bot:
-        return a
-    if a is Top or b is Top:
-        return Top
-    return disj(*sorted((a, b), key=Formula.sort_key))
-
-
-def _fimp(a, b):
-    if a is Top:
-        return b
-    if b is Top or a is Bot:
-        return Top
-    if a == b:
-        return Top
-    return imp(a, b)
-
-
-def _fand_all(xs):
-    out = Top
-    for x in xs:
-        out = _fand(out, x)
-    return out
-
-
-def _for_all(xs):
-    out = Bot
-    for x in xs:
-        out = _for(out, x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # classical quantifiers
 
 def classical_forall(f: Formula, p: str) -> Formula:
     top_sub = apply_subst({p: Top}, f)
     bot_sub = apply_subst({p: Bot}, f)
-    return _fand(fold_constants(top_sub), fold_constants(bot_sub))
+    return fconj(fold_constants(top_sub), fold_constants(bot_sub))
 
 
 def classical_exists(f: Formula, p: str) -> Formula:
     top_sub = apply_subst({p: Top}, f)
     bot_sub = apply_subst({p: Bot}, f)
-    return _for(fold_constants(top_sub), fold_constants(bot_sub))
+    return fdisj(fold_constants(top_sub), fold_constants(bot_sub))
 
 
 def classical_uniform(target, p: str) -> UniformInterpolant:
@@ -158,7 +115,7 @@ def classical_uniform(target, p: str) -> UniformInterpolant:
     _check_propositional(target)
     if isinstance(target, Sequent):
         fa = classical_forall(fold_constants(interpret(target)), p)
-        refute = _fand(conj_all(target.ant),
+        refute = fconj(conj_all(target.ant),
                        fold_constants(core.neg(disj_all(target.suc))))
         ex = classical_exists(refute, p)
     else:
@@ -230,13 +187,13 @@ def _forall_raw(ctx, ant, suc):
             return Top
         if step[0] == "step":
             return _forall(ctx, step[1], suc)
-        return _fand(_forall(ctx, step[1], suc), _forall(ctx, step[2], suc))
+        return fconj(_forall(ctx, step[1], suc), _forall(ctx, step[2], suc))
     d = suc.items[0] if suc else None
     if d is not None:
         if d.kind == core.TOP:
             return Top
         if d.kind == core.AND:
-            return _fand(_forall(ctx, ant, FMultiset([d.a])),
+            return fconj(_forall(ctx, ant, FMultiset([d.a])),
                          _forall(ctx, ant, FMultiset([d.b])))
         if d.kind == core.IMP:
             return _forall(ctx, ant.add(d.a), FMultiset([d.b]))
@@ -255,16 +212,16 @@ def _forall_raw(ctx, ant, suc):
         if a.kind == core.IMP:
             left = _forall(ctx, ant.remove(f).add(imp(a.b, f.b)), FMultiset([a]))
             right = _forall(ctx, ant.remove(f).add(f.b), suc)
-            parts.append(_fand(left, right))
+            parts.append(fconj(left, right))
         elif a.kind == core.ATOM and a.a != p:
             # supply the blocked atom ourselves
-            parts.append(_fand(a, _forall(ctx, ant.remove(f).add(a, f.b), suc)))
+            parts.append(fconj(a, _forall(ctx, ant.remove(f).add(a, f.b), suc)))
     if p not in atoms(suc):
         delta = fold_constants(disj_all(suc))
     else:
         delta = Bot
-    parts.append(_fimp(_exists(ctx, ant), delta))
-    return _for_all(parts)
+    parts.append(fimp(_exists(ctx, ant), delta))
+    return fdisj_all(parts)
 
 
 def _exists(ctx: _PittsContext, ant: FMultiset) -> Formula:
@@ -287,7 +244,7 @@ def _exists_raw(ctx, ant):
             return Bot
         if step[0] == "step":
             return _exists(ctx, step[1])
-        return _for(_exists(ctx, step[1]), _exists(ctx, step[2]))
+        return fdisj(_exists(ctx, step[1]), _exists(ctx, step[2]))
     if ctx.provable(ant, FMultiset()):
         return Bot
     parts = []
@@ -300,10 +257,10 @@ def _exists_raw(ctx, ant):
         a = f.a
         if a.kind == core.IMP:
             guard = _forall(ctx, ant.remove(f).add(imp(a.b, f.b)), FMultiset([a]))
-            parts.append(_fimp(guard, _exists(ctx, ant.remove(f).add(f.b))))
+            parts.append(fimp(guard, _exists(ctx, ant.remove(f).add(f.b))))
         elif a.kind == core.ATOM and a.a != p:
-            parts.append(_fimp(a, _exists(ctx, ant.remove(f).add(a, f.b))))
-    return _fand_all(parts)
+            parts.append(fimp(a, _exists(ctx, ant.remove(f).add(a, f.b))))
+    return fconj_all(parts)
 
 
 def ipc_uniform(s: Sequent, p: str, cache: ProverCache | None = None) -> UniformInterpolant:
@@ -352,26 +309,12 @@ def exists_via_forall(f: Formula, p: str, cache=None) -> Formula:
 
 def p_partitions(s: Sequent, p: str):
     """All componentwise splits (S^r, S^i) with p absent from S^r."""
-    def splits(ms):
-        groups = [(f, ms.count(f)) for f in ms.support()]
-        def rec(i):
-            if i == len(groups):
-                yield ((), ())
-                return
-            f, n = groups[i]
-            free = p not in atoms(f)
-            for rest_r, rest_i in rec(i + 1):
-                choices = range(n + 1) if free else (0,)
-                for k in choices:
-                    yield ((f,) * k + rest_r, (f,) * (n - k) + rest_i)
-        for r_items, i_items in rec(0):
-            yield FMultiset(r_items), FMultiset(i_items)
+    def p_free(f):
+        return p not in atoms(f)
 
-    out = []
-    for ant_r, ant_i in splits(s.ant):
-        for suc_r, suc_i in splits(s.suc):
-            out.append((Sequent(ant_r, suc_r), Sequent(ant_i, suc_i)))
-    return out
+    return [(Sequent(ant_r, suc_r), Sequent(ant_i, suc_i))
+            for ant_r, ant_i in sub_multisets(s.ant, p_free)
+            for suc_r, suc_i in sub_multisets(s.suc, p_free)]
 
 
 @dataclass
@@ -393,9 +336,11 @@ class UniformReport:
 
 
 def _sub_uniform(calc, target, p, cache):
-    if calc.name == "G3cp":
+    """Classical quantifiers for a multi-conclusion calculus, Pitts' over
+    G4ip otherwise; the cache is reused only when it is G4ip's."""
+    if calc.mode == "multi":
         return classical_uniform(target, p)
-    return ipc_uniform(target, p, cache)
+    return ipc_uniform(target, p, cache if cache.calc is builtin("G4ip") else None)
 
 
 def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,

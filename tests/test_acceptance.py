@@ -13,7 +13,7 @@ import itertools
 import os
 
 from proofkit.core import (FMultiset, Sequent, SplitAnt, Top, Bot, atom,
-                           atoms, conj, disj, imp, neg)
+                           atoms, conj, disj, imp, neg, sub_multisets)
 from proofkit.calculus import builtin
 from proofkit.classify import (check_terminating, classify_calculus,
                                is_focused_axiom, LEFT, LEFT_CS, RIGHT,
@@ -60,22 +60,6 @@ def truth_table_valid(s, names):
 
     return all(any(not ev(f, val) for f in s.ant) or any(ev(f, val) for f in s.suc)
                for val in itertools.product((False, True), repeat=len(names)))
-
-
-def all_gammas(ant):
-    groups = [(f, ant.count(f)) for f in ant.support()]
-
-    def rec(i):
-        if i == len(groups):
-            yield ()
-            return
-        f, n = groups[i]
-        for rest in rec(i + 1):
-            for k in range(n + 1):
-                yield (f,) * k + rest
-
-    for items in rec(0):
-        yield FMultiset(items)
 
 
 def test_c01_classical_truth_table_oracle(g3cp, caches):
@@ -224,9 +208,9 @@ def test_c07_interpolation(g4ip, caches):
         if not res.provable:
             continue
         nseq += 1
-        for gamma in all_gammas(s.ant):
+        for gamma, pi in sub_multisets(s.ant):
             nsplit += 1
-            split = SplitAnt(gamma, s.ant.difference(gamma), s.suc)
+            split = SplitAnt(gamma, pi, s.suc)
             cert = craig_interpolate(
                 InterpolationProblem(g4ip, res.derivation, split), cache)
             defects = verify_certificate(g4ip, cert, split)

@@ -7,7 +7,8 @@ from proofkit.core import (FMultiset, Sequent, Top, Bot, atom, conj, disj,
                            imp, neg, box, circle, atoms, degree, weight,
                            subformulas, polarity_atoms, apply_subst,
                            interpret, multiset_less, sequent_less, sequent,
-                           SplitAnt, RestInterp, seq_multiply)
+                           SplitAnt, RestInterp, seq_multiply, sub_multisets,
+                           fconj, fdisj, fimp, fconj_all, fdisj_all)
 from proofkit.syntax import parse_formula as pf, parse_sequent as ps
 from proofkit import corpus
 
@@ -108,6 +109,23 @@ class TestMultisets:
         assert FMultiset([p, p]).contains(FMultiset([p]))
         assert not FMultiset([p]).contains(FMultiset([p, p]))
 
+    def test_sub_multisets(self):
+        m = FMultiset([p, p, q])
+        splits = sub_multisets(m)
+        assert len(splits) == 6 and len(set(splits)) == 6
+        assert all(part.union(rest) == m for part, rest in splits)
+        assert splits[0] == (FMultiset(), m) and splits[-1] == (m, FMultiset())
+        # the first distinct member's share varies fastest
+        assert [part for part, _ in splits[:3]] == \
+            [FMultiset(), FMultiset([p]), FMultiset([p, p])]
+        assert sub_multisets(FMultiset()) == [(FMultiset(), FMultiset())]
+
+    def test_sub_multisets_movable(self):
+        m = FMultiset([p, q, q])
+        splits = sub_multisets(m, lambda f: f != p)
+        assert len(splits) == 3
+        assert all(p not in part and part.union(rest) == m for part, rest in splits)
+
 
 class TestOrders:
     def test_degree_example(self):
@@ -188,6 +206,21 @@ class TestOrders:
             if m(Bot) < m(f.a):
                 g = _mk(f.kind, Bot)
                 assert m(g) < m(f)
+
+
+class TestFolds:
+    def test_units(self):
+        assert fconj(Top, p) is p and fconj(p, Bot) is Bot
+        assert fdisj(Bot, p) is p and fdisj(p, Top) is Top
+        assert fimp(Top, p) is p and fimp(p, Top) is Top and fimp(Bot, p) is Top
+        assert fimp(imp(p, q), imp(p, q)) is Top
+        assert fimp(p, q) is imp(p, q)
+
+    def test_canonical_order(self):
+        assert fconj(q, p) is fconj(p, q) is conj(p, q)
+        assert fdisj(q, p) is disj(p, q)
+        assert fconj_all([]) is Top and fdisj_all([]) is Bot
+        assert fconj_all([Top, p]) is p and fdisj_all([Bot, q, Bot]) is q
 
 
 class TestSequents:
