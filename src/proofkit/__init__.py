@@ -6,7 +6,7 @@ extractors produce certificates the prover re-checks.
 """
 
 from .core import (Formula, FMultiset, Sequent, SplitAnt, RestInterp,
-                   Substitution, Top, Bot, atom, conj, disj, imp, neg, box,
+                   Top, Bot, atom, conj, disj, imp, neg, box,
                    circle, atoms, degree, weight, subformulas, polarity_atoms,
                    apply_subst, interpret, multiset_less, sequent_less,
                    sequent)

@@ -1,10 +1,9 @@
 """Rule schemas as data, the built-in calculi, and rule-instance matching.
 
-A meta-sequent side is a tuple of items:
-
-    ("pat", formula-pattern)   a formula built from metavariables
-    ("mv", "G")                a multiset variable
-    ("bmv", "G")               a boxed multiset variable ([]G)
+The parser hands each meta-sequent side over as tagged items; `MetaSequent`
+decodes them once, at construction, into a `Side`: the formula patterns in
+written order, at most one plain multiset variable (the context) and at most
+one boxed multiset variable ([]G).  Everything downstream reads those fields.
 
 All built-in rules are additive: contexts are repeated verbatim across
 premises, so matching a conclusion never splits a context between two plain
@@ -17,28 +16,76 @@ those calculi.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import core
-from .core import (Formula, FMultiset, Sequent, EMPTY, box, metavars)
-from .syntax import parse_calculus, render_metasequent
+from .core import Formula, FMultiset, Sequent, box, metavars
+from .syntax import parse_calculus, render_formula
 
 
 class UnknownCalculus(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class MetaSequent:
-    ant: tuple
-    suc: tuple
+class BadRuleShape(Exception):
+    pass
 
-    def items(self):
-        return self.ant + self.suc
+
+@dataclass(frozen=True)
+class Side:
+    """One meta-sequent side: formula patterns (in written order, which
+    fixes the instance order), the plain context variable and the boxed
+    context variable, each None when absent."""
+
+    pats: tuple
+    ctx: str | None = None
+    boxed: str | None = None
+
+    def __len__(self):
+        return len(self.pats) + (self.ctx is not None) + (self.boxed is not None)
+
+    def same_items(self, other) -> bool:
+        """Equal as multisets of items, whatever the pattern order."""
+        return ((self.ctx, self.boxed) == (other.ctx, other.boxed)
+                and Counter(self.pats) == Counter(other.pats))
+
+    def metavars(self):
+        names = {v for p in self.pats for v in metavars(p)}
+        return names | {v for v in (self.ctx, self.boxed) if v is not None}
+
+
+def _decode(items, where) -> Side:
+    pats, ctx, boxed = [], [], []
+    for tag, x in items:
+        {"pat": pats, "mv": ctx, "bmv": boxed}[tag].append(x)
+    if len(ctx) > 1 or len(boxed) > 1:
+        raise BadRuleShape(f"{where} splits its context between several "
+                           f"multiset variables (contexts are additive)")
+    return Side(tuple(pats), ctx[0] if ctx else None, boxed[0] if boxed else None)
+
+
+@dataclass(frozen=True, init=False)
+class MetaSequent:
+    """A schema sequent, built from the parser's (antecedent items,
+    succedent items); raises BadRuleShape for a side with two plain or two
+    boxed contexts."""
+
+    ant: Side
+    suc: Side
+
+    def __init__(self, ant_items, suc_items):
+        object.__setattr__(self, "ant", _decode(ant_items, "antecedent"))
+        object.__setattr__(self, "suc", _decode(suc_items, "succedent"))
 
     def __repr__(self):
-        return render_metasequent((self.ant, self.suc))
+        # contexts first in the antecedent, last in the succedent
+        a, s = self.ant, self.suc
+        left = [v for v in (a.ctx, a.boxed and "[]" + a.boxed) if v]
+        left += map(render_formula, a.pats)
+        right = [render_formula(p) for p in s.pats]
+        right += [v for v in (s.boxed and "[]" + s.boxed, s.ctx) if v]
+        return " ".join(x for x in (", ".join(left), "=>", ", ".join(right)) if x)
 
 
 @dataclass(frozen=True)
@@ -111,11 +158,11 @@ def _duplicated_pattern(rule: RuleSchema):
     prem, conc = rule.premises[0], rule.conclusion
     for grown, base, p_other, c_other in ((prem.ant, conc.ant, prem.suc, conc.suc),
                                           (prem.suc, conc.suc, prem.ant, conc.ant)):
-        if Counter(p_other) != Counter(c_other):
+        if not p_other.same_items(c_other):
             continue
-        for item in set(base):
-            if item[0] == "pat" and Counter(grown) == Counter(base + (item,)):
-                return item[1]
+        for pat in set(base.pats):
+            if grown.same_items(replace(base, pats=base.pats + (pat,))):
+                return pat
     return None
 
 
@@ -169,83 +216,62 @@ def subst_pattern(pat: Formula, asg) -> Formula:
     return core._mk(k, subst_pattern(pat.a, asg), subst_pattern(pat.b, asg))
 
 
-def _match_side(items, ms: FMultiset, asg):
+def _match_side(side: Side, ms: FMultiset, asg, i=0):
     """Yield assignments matching one meta-sequent side against a multiset.
 
-    Formula patterns consume occurrences (every choice is enumerated, in
-    canonical position order); the remainder goes to the multiset variables.
+    Formula patterns from the i-th on consume occurrences (every choice is
+    enumerated, in canonical position order); the remainder goes to the
+    contexts.
     """
-    pats = [it[1] for it in items if it[0] == "pat"]
-    mvs = [it[1] for it in items if it[0] == "mv"]
-    bmvs = [it[1] for it in items if it[0] == "bmv"]
-
-    def assign_rest(rest: FMultiset, asg):
-        asg = dict(asg)
-        # boxed variables first: bind maximally (or check a prior binding)
-        for name in bmvs:
-            bound = asg.get(name)
-            if bound is not None:
-                image = FMultiset(box(f) for f in bound)
-                if not rest.contains(image):
-                    return
-                rest = rest.difference(image)
-            else:
-                boxed = FMultiset(f.a for f in rest if f.kind == core.BOX)
-                asg[name] = boxed
-                rest = FMultiset(f for f in rest if f.kind != core.BOX)
-        unbound = []
-        for name in mvs:
-            bound = asg.get(name)
-            if bound is not None:
-                if not rest.contains(bound):
-                    return
-                rest = rest.difference(bound)
-            else:
-                unbound.append(name)
-        if unbound:
-            asg[unbound[0]] = rest
-            for name in unbound[1:]:
-                asg[name] = EMPTY
-        elif rest:
-            return
-        yield asg
-
-    def place(i, remaining: FMultiset, asg):
-        if i == len(pats):
-            yield from assign_rest(remaining, asg)
-            return
-        items = remaining.items
+    if i < len(side.pats):
+        pat, items = side.pats[i], ms.items
         for idx, f in enumerate(items):
-            asg2 = match_formula(pats[i], f, asg)
+            asg2 = match_formula(pat, f, asg)
             if asg2 is not None:
                 rest = FMultiset._wrap(items[:idx] + items[idx + 1:])
-                yield from place(i + 1, rest, asg2)
-
-    yield from place(0, ms, asg)
+                yield from _match_side(side, rest, asg2, i + 1)
+        return
+    if side.boxed is not None:
+        # the boxed context first: bind maximally, or check a prior binding
+        bound = asg.get(side.boxed)
+        if bound is None:
+            asg = dict(asg)
+            asg[side.boxed] = FMultiset(f.a for f in ms if f.kind == core.BOX)
+            ms = FMultiset(f for f in ms if f.kind != core.BOX)
+        else:
+            image = FMultiset(box(f) for f in bound)
+            if not ms.contains(image):
+                return
+            ms = ms.difference(image)
+    if side.ctx is None:
+        if not ms:
+            yield asg
+        return
+    bound = asg.get(side.ctx)
+    if bound is None:
+        asg = dict(asg)
+        asg[side.ctx] = ms
+        yield asg
+    elif ms == bound:
+        yield asg
 
 
 def match_metasequent(ms: MetaSequent, s: Sequent, asg=None):
     """Yield every assignment under which ms instantiates to s."""
-    if asg is None:
-        asg = {}
-    for asg1 in _match_side(ms.ant, s.ant, asg):
+    for asg1 in _match_side(ms.ant, s.ant, {} if asg is None else asg):
         yield from _match_side(ms.suc, s.suc, asg1)
 
 
 def instantiate(ms: MetaSequent, asg) -> Sequent:
-    def side(items):
-        out = []
-        for it in items:
-            tag = it[0]
-            if tag == "pat":
-                out.append(subst_pattern(it[1], asg))
-            elif tag == "mv":
-                out.extend(asg[it[1]])
-            else:
-                out.extend(box(f) for f in asg[it[1]])
+    def fill(side):
+        out = [subst_pattern(p, asg) for p in side.pats]
+        if side.ctx is not None:
+            out += asg[side.ctx]
+        if side.boxed is not None:
+            out += map(box, asg[side.boxed])
         return FMultiset(out)
 
-    return Sequent(side(ms.ant), side(ms.suc))
+    return Sequent(fill(ms.ant), fill(ms.suc))
 
 
 def match_conclusion(calc: Calculus, s: Sequent):
@@ -279,23 +305,13 @@ def is_instance_finite(calc: Calculus):
     """
     offenders = []
     for rule in calc.rules:
-        conc_vars = _ms_vars(rule.conclusion)
+        conc_vars = rule.conclusion.ant.metavars() | rule.conclusion.suc.metavars()
         for prem in rule.premises:
-            missing = _ms_vars(prem) - conc_vars
+            missing = (prem.ant.metavars() | prem.suc.metavars()) - conc_vars
             if missing:
                 offenders.append((rule.name, sorted(missing)))
                 break
     return (not offenders, offenders)
-
-
-def _ms_vars(ms: MetaSequent):
-    names = set()
-    for it in ms.items():
-        if it[0] == "pat":
-            names |= metavars(it[1])
-        else:
-            names.add(it[1])
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -414,51 +430,32 @@ rule LO-> : G, OC, OA -> B => D <- G, C => OA ; G, OC, B => D
 """
 
 
-class BadRuleShape(Exception):
-    pass
-
-
-def _validate_metasequent(owner, ms: MetaSequent, mode):
-    for side, items in (("antecedent", ms.ant), ("succedent", ms.suc)):
-        mvs = [it for it in items if it[0] == "mv"]
-        bmvs = [it for it in items if it[0] == "bmv"]
-        if len(mvs) > 1 or len(bmvs) > 1:
-            raise BadRuleShape(
-                f"{owner}: {side} splits its context between several "
-                f"multiset variables (contexts are additive)")
-    if mode == "single":
-        pats = [it for it in ms.suc if it[0] == "pat"]
-        mvs = [it for it in ms.suc if it[0] == "mv"]
-        if len(pats) > 1 or len(mvs) > 1:
-            raise BadRuleShape(f"{owner}: succedent too wide for a "
-                               f"single-conclusion calculus")
-
-
-def _validate_wc(owner, ms: MetaSequent, mode):
-    """The shape padding needs: a plain antecedent context, a succedent
-    context when multi-conclusion, and no boxed context."""
-    def has_mv(items):
-        return any(it[0] == "mv" for it in items)
-
-    if (any(it[0] == "bmv" for it in ms.items()) or not has_mv(ms.ant)
-            or (mode == "multi" and not has_mv(ms.suc))):
+def _schema(owner, items, doc) -> MetaSequent:
+    """Decode one axiom or rule sequent, checking the additive context
+    discipline, the single-conclusion width bound, and the contexts a
+    `structural wc-admissible` declaration needs (a plain antecedent one, a
+    succedent one when multi-conclusion, no boxed one)."""
+    try:
+        ms = MetaSequent(*items)
+    except BadRuleShape as e:
+        raise BadRuleShape(f"{owner}: {e}") from None
+    if doc.sequent_mode == "single" and len(ms.suc.pats) > 1:
+        raise BadRuleShape(f"{owner}: succedent too wide for a "
+                           f"single-conclusion calculus")
+    if doc.wc_admissible and (ms.ant.boxed or ms.suc.boxed or ms.ant.ctx is None
+                              or (doc.sequent_mode == "multi" and ms.suc.ctx is None)):
         raise BadRuleShape(f"{owner}: {ms!r} lacks the plain contexts that "
                            f"'structural wc-admissible' needs")
+    return ms
 
 
 def from_document(doc) -> Calculus:
-    """Build a calculus from a parsed CalculusDoc, checking the additive
-    context discipline, the single-conclusion width bound, and the context
-    shape a `structural wc-admissible` declaration needs."""
-    axioms = [(n, MetaSequent(*ms)) for n, ms in doc.axioms]
-    rules = [RuleSchema(n, tuple(MetaSequent(*p) for p in prems), MetaSequent(*conc))
+    """Build a calculus from a parsed CalculusDoc; BadRuleShape names the
+    axiom or rule whose sequent breaks a shape condition (`_schema`)."""
+    axioms = [(n, _schema(f"axiom {n}", ms, doc)) for n, ms in doc.axioms]
+    rules = [RuleSchema(n, tuple(_schema(f"rule {n}", p, doc) for p in prems),
+                        _schema(f"rule {n}", conc, doc))
              for n, prems, conc in doc.rules]
-    owned = [(f"axiom {n}", ms) for n, ms in axioms]
-    owned += [(f"rule {r.name}", ms) for r in rules for ms in (r.conclusion, *r.premises)]
-    for owner, ms in owned:
-        _validate_metasequent(owner, ms, doc.sequent_mode)
-        if doc.wc_admissible:
-            _validate_wc(owner, ms, doc.sequent_mode)
     return Calculus(doc.name, doc.sequent_mode, axioms, rules, doc.measure,
                     doc.wc_admissible)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from . import core
-from .core import FMultiset, Sequent, box, metavars, multiset_less
-from .calculus import Calculus, MetaSequent, RuleSchema, is_instance_finite, subst_pattern
+from .core import EMPTY, FMultiset, box, metavars, multiset_less
+from .calculus import Calculus, MetaSequent, RuleSchema, instantiate, is_instance_finite
 
 RIGHT = "RightSemiAnalytic"
 LEFT = "LeftSemiAnalytic"
@@ -39,13 +39,6 @@ class Classification:
         return self.kind
 
 
-def _split_items(items):
-    pats = [it[1] for it in items if it[0] == "pat"]
-    mvs = [it[1] for it in items if it[0] == "mv"]
-    bmvs = [it[1] for it in items if it[0] == "bmv"]
-    return pats, mvs, bmvs
-
-
 def _is_boximage(pat, inner):
     return pat.kind == core.BOX and pat == box(inner)
 
@@ -53,19 +46,16 @@ def _is_boximage(pat, inner):
 def _classify_modal(rule: RuleSchema):
     """Match the K shape (G => A / [P,] []G => []A [, D]) or the D shape
     (G, phis => / [P,] []G, []phis => [D])."""
-    c_pats, c_mvs, c_bmvs = _split_items(rule.conclusion.ant)
-    s_pats, s_mvs, s_bmvs = _split_items(rule.conclusion.suc)
-    if len(c_bmvs) != 1 or s_bmvs or len(c_mvs) > 1 or len(s_mvs) > 1:
-        return None
-    if len(rule.premises) != 1:
+    conc = rule.conclusion
+    if conc.ant.boxed is None or conc.suc.boxed is not None or len(rule.premises) != 1:
         return None
     prem = rule.premises[0]
-    p_pats, p_mvs, p_bmvs = _split_items(prem.ant)
-    if p_bmvs or p_mvs != c_bmvs:
+    if prem.ant.boxed is not None or prem.ant.ctx != conc.ant.boxed:
         return None
-    ps_pats, ps_mvs, ps_bmvs = _split_items(prem.suc)
-    if ps_mvs or ps_bmvs:
+    if prem.suc.ctx is not None or prem.suc.boxed is not None:
         return None
+    c_pats, s_pats = conc.ant.pats, conc.suc.pats
+    p_pats, ps_pats = prem.ant.pats, prem.suc.pats
     # K: premise G => A, conclusion ... []G ... => []A
     if len(ps_pats) == 1 and not p_pats:
         if len(s_pats) == 1 and _is_boximage(s_pats[0], ps_pats[0]) and not c_pats:
@@ -88,38 +78,31 @@ def classify_rule(rule: RuleSchema, mode="single") -> Classification:
     if modal is not None:
         return modal
     for ms in (rule.conclusion, *rule.premises):
-        if any(it[0] == "bmv" for it in ms.items()):
+        if ms.ant.boxed is not None or ms.suc.boxed is not None:
             return Classification(NOT, "boxed context outside the K/D shapes")
 
-    c_ant_pats, c_ant_mvs, _ = _split_items(rule.conclusion.ant)
-    c_suc_pats, c_suc_mvs, _ = _split_items(rule.conclusion.suc)
-
-    if len(c_ant_pats) + len(c_suc_pats) != 1:
+    conc = rule.conclusion
+    if len(conc.ant.pats) + len(conc.suc.pats) != 1:
         return Classification(NOT, "conclusion must have exactly one principal formula")
-    right = bool(c_suc_pats)
-    principal = c_suc_pats[0] if right else c_ant_pats[0]
+    right = bool(conc.suc.pats)
+    principal = (conc.suc if right else conc.ant).pats[0]
     pvars = metavars(principal)
-    ctx_vars = set(c_ant_mvs)
-    suc_ctx = set(c_suc_mvs)
 
-    if right:
-        if suc_ctx and mode == "single":
-            return Classification(NOT, "succedent context beside a right principal")
-    else:
-        if mode == "single" and len(c_suc_mvs) > 1:
-            return Classification(NOT, "left rule succedent must be one context")
+    if right and conc.suc.ctx is not None and mode == "single":
+        return Classification(NOT, "succedent context beside a right principal")
 
-    delta_ctx, chi_ctx = [], []
+    # every premise context is the conclusion's, so a left rule shares its
+    # context when it has both a delta-premise and a chi-premise
+    delta = chi = False
     for prem in rule.premises:
-        p_pats, p_mvs, _ = _split_items(prem.ant)
-        if len(p_mvs) != 1 or p_mvs[0] not in ctx_vars:
+        if prem.ant.ctx is None or prem.ant.ctx != conc.ant.ctx:
             return Classification(NOT, f"premise {prem!r} lacks a single conclusion context")
-        for p in p_pats:
+        for p in prem.ant.pats:
             if not metavars(p) <= pvars:
                 return Classification(
                     NOT, f"premise formula {p!r} uses variables outside the principal")
-        s_pats, s_mvs, _ = _split_items(prem.suc)
-        if not set(s_mvs) <= suc_ctx:
+        s_pats, s_ctx = prem.suc.pats, prem.suc.ctx
+        if s_ctx not in (None, conc.suc.ctx):
             return Classification(NOT, "premise succedent context differs from conclusion")
         if len(s_pats) > 1:
             return Classification(NOT, "premise succedent has several formulas")
@@ -130,20 +113,18 @@ def classify_rule(rule: RuleSchema, mode="single") -> Classification:
             if not s_pats:
                 return Classification(NOT, "right rule premises need one succedent formula")
             continue
-        if s_pats and s_mvs and mode == "single":
+        if s_pats and s_ctx is not None and mode == "single":
             return Classification(NOT, "premise mixes succedent formula and context")
         if s_pats:
-            chi_ctx.append(p_mvs[0])
+            chi = True
         else:
-            delta_ctx.append(p_mvs[0])
+            delta = True
 
     if right:
         return Classification(RIGHT)
-    if suc_ctx and not delta_ctx:
+    if conc.suc.ctx is not None and not delta:
         return Classification(NOT, "no premise carries the conclusion succedent")
-    if chi_ctx and set(delta_ctx) == set(chi_ctx):
-        return Classification(LEFT_CS)
-    return Classification(LEFT)
+    return Classification(LEFT_CS if chi and delta else LEFT)
 
 
 def classify_calculus(calc: Calculus):
@@ -157,13 +138,11 @@ def is_focused_axiom(ms: MetaSequent, mode="single") -> bool:
     """The five focused shapes: phi => phi / => phi / phis => /
     G, phis => D / G => phi, with all formula patterns sharing one variable
     set; in single-conclusion mode the succedent holds at most one item."""
-    a_pats, a_mvs, a_bmvs = _split_items(ms.ant)
-    s_pats, s_mvs, s_bmvs = _split_items(ms.suc)
-    if a_bmvs or s_bmvs:
+    if ms.ant.boxed is not None or ms.suc.boxed is not None:
         return False
     if mode == "single" and len(ms.suc) > 1:
         return False
-    pats = a_pats + s_pats
+    pats = ms.ant.pats + ms.suc.pats
     if not pats:
         return False
     vs = metavars(pats[0])
@@ -224,18 +203,20 @@ def check_terminating(calc: Calculus, measure=None, pool_weight=3) -> Terminatio
 
     witness = None
     for rule in calc.rules:
-        fvars = sorted({v for ms in (rule.conclusion, *rule.premises)
-                        for it in ms.items() if it[0] == "pat"
-                        for v in metavars(it[1])})
+        sides = [side for ms in (rule.conclusion, *rule.premises)
+                 for side in (ms.ant, ms.suc)]
+        fvars = sorted({v for side in sides for p in side.pats for v in metavars(p)})
         # variables bound to atoms keep Lp->-style side conditions honest
         avars = [v for v in fvars if v.islower()]
         cvars = [v for v in fvars if not v.islower()]
-        boxed_ctx = _boxed_context_vars(rule)
+        boxed_ctx = sorted({side.boxed for side in sides if side.boxed is not None})
+        # shared unboxed contexts cancel between premise and conclusion:
+        # bound to the empty multiset unless a boxed probe binds them
+        plain_ctx = dict.fromkeys((side.ctx for side in sides if side.ctx is not None), EMPTY)
         for combo in product(*([atoms_pool] * len(avars) + [pool] * len(cvars))):
             asg = dict(zip(avars + cvars, combo))
             for ctx_binding in _context_probes(boxed_ctx, atoms_pool):
-                full = dict(asg)
-                full.update(ctx_binding)
+                full = {**plain_ctx, **asg, **ctx_binding}
                 bad = _violating_premise(rule, full, measure)
                 if bad is not None:
                     witness = (rule.name, bad[0], bad[1])
@@ -249,16 +230,6 @@ def check_terminating(calc: Calculus, measure=None, pool_weight=3) -> Terminatio
                              witness is None, witness)
 
 
-def _boxed_context_vars(rule: RuleSchema):
-    """Context variables that appear boxed somewhere in the rule."""
-    out = set()
-    for ms in (rule.conclusion, *rule.premises):
-        for it in ms.items():
-            if it[0] == "bmv":
-                out.add(it[1])
-    return sorted(out)
-
-
 def _context_probes(boxed_vars, atoms_pool):
     if not boxed_vars:
         yield {}
@@ -269,41 +240,13 @@ def _context_probes(boxed_vars, atoms_pool):
         yield dict(zip(boxed_vars, combo))
 
 
-def _ground_side(items, asg):
-    out = []
-    for it in items:
-        tag = it[0]
-        if tag == "pat":
-            out.append(subst_pattern(it[1], asg))
-        elif tag == "mv":
-            if it[1] in asg:
-                out.extend(asg[it[1]])
-            # shared unboxed context variables cancel between premise and
-            # conclusion; leave them out on both sides
-        else:
-            binding = asg.get(it[1], FMultiset())
-            out.extend(box(f) for f in binding)
-    return out
-
-
 def _violating_premise(rule: RuleSchema, asg, measure):
     try:
-        conc = _ground_items(rule.conclusion, asg)
+        conc = instantiate(rule.conclusion, asg)
+        for prem in rule.premises:
+            p = instantiate(prem, asg)
+            if not multiset_less(p.ant.union(p.suc), conc.ant.union(conc.suc), measure):
+                return (p, conc)
     except KeyError:
-        return None
-    for prem in rule.premises:
-        try:
-            p = _ground_items(prem, asg)
-        except KeyError:
-            return None
-        if not multiset_less(p, conc, measure):
-            ps = Sequent(FMultiset(_ground_side(prem.ant, asg)),
-                         FMultiset(_ground_side(prem.suc, asg)))
-            cs = Sequent(FMultiset(_ground_side(rule.conclusion.ant, asg)),
-                         FMultiset(_ground_side(rule.conclusion.suc, asg)))
-            return (ps, cs)
+        pass
     return None
-
-
-def _ground_items(ms: MetaSequent, asg) -> FMultiset:
-    return FMultiset(_ground_side(ms.ant, asg) + _ground_side(ms.suc, asg))

@@ -307,25 +307,11 @@ def polarity_atoms(f: Formula):
 # ---------------------------------------------------------------------------
 # substitutions
 
-class Substitution:
-    """Finite map from atom names to formulas; identity elsewhere."""
-
-    def __init__(self, mapping=None):
-        self.mapping = dict(mapping or {})
-
-    def __call__(self, f: Formula) -> Formula:
-        return apply_subst(self, f)
-
-    def __repr__(self):
-        items = ", ".join(f"{k} -> {v!r}" for k, v in sorted(self.mapping.items()))
-        return "{" + items + "}"
-
-
-def apply_subst(s: Substitution, x):
+def apply_subst(m: dict, x):
+    """Replace atoms by formulas, {name: formula}, in a formula or sequent."""
     if isinstance(x, Sequent):
-        return Sequent(FMultiset(apply_subst(s, f) for f in x.ant),
-                       FMultiset(apply_subst(s, f) for f in x.suc))
-    m = s.mapping if isinstance(s, Substitution) else s
+        return Sequent(FMultiset(apply_subst(m, f) for f in x.ant),
+                       FMultiset(apply_subst(m, f) for f in x.suc))
 
     def go(f):
         k = f.kind
@@ -352,13 +338,13 @@ class FMultiset:
         xs = list(items)
         xs.sort(key=Formula.sort_key)
         self.items = tuple(xs)
-        self._hash = hash(self.items)
+        self._hash = None
 
     @staticmethod
     def _wrap(sorted_items) -> "FMultiset":
         m = object.__new__(FMultiset)
         m.items = tuple(sorted_items)
-        m._hash = hash(m.items)
+        m._hash = None
         return m
 
     def __iter__(self) -> Iterator[Formula]:
@@ -371,6 +357,10 @@ class FMultiset:
         return bool(self.items)
 
     def __hash__(self):
+        # computed on first use: most multisets that rule matching builds
+        # (the remainders bound to contexts) are never hashed
+        if self._hash is None:
+            self._hash = hash(self.items)
         return self._hash
 
     def __eq__(self, other):

@@ -6,7 +6,9 @@ premise splits given in the corresponding interpolation lemma:
 
   - axioms: the constant/atom table (top when the witness sits on the P
     side, bot when bot sits on the G side, the shared atom otherwise);
-  - Lp->: the two mixed cases produce beta & p and p -> beta;
+  - the Lp-> shape G, p?, p? -> X => S <- G, p?, X => S, recognised under
+    any rule and metavariable names: the two mixed cases produce beta & p
+    and p -> beta;
   - right semi-analytic rules: the conjunction of the premise interpolants;
   - left semi-analytic rules with the principal on the P side: again the
     conjunction; with the principal on the G side the chi-premises are
@@ -25,8 +27,9 @@ from dataclasses import dataclass
 from . import core
 from .core import (Formula, FMultiset, Sequent, SplitAnt, Top, Bot, atoms,
                    fconj, fconj_all, fdisj_all, fimp, imp)
-from .calculus import Calculus, builtin, axiom_instance
-from .classify import classify_rule, RIGHT, NOT
+from .calculus import (Calculus, RuleSchema, Side, axiom_instance, builtin,
+                       subst_pattern)
+from .classify import classify_rule, RIGHT
 from .prover import (Derivation, ProverCache, check_derivation, prove,
                      shared_cache)
 
@@ -82,16 +85,11 @@ def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
         return Top
     # generic focused axiom: the witness formulas share one variable set, so
     # the conjunction of those landing on the G side is in the common language
-    from .calculus import match_metasequent, subst_pattern
-    for aname, ms in calc.axioms:
-        for asg in match_metasequent(ms, s):
-            fis = [subst_pattern(it[1], asg)
-                   for it in ms.items() if it[0] == "pat"]
-            on_gamma = [f for f in fis if f in gamma]
-            if not on_gamma:
-                return Top
-            return fconj_all(on_gamma)
-    raise NotAnAxiom(repr(s))
+    from .calculus import match_metasequent
+    ms = dict(calc.axioms)[name]
+    asg = next(match_metasequent(ms, s))
+    witnesses = (subst_pattern(p, asg) for p in ms.ant.pats + ms.suc.pats)
+    return fconj_all(f for f in witnesses if f in gamma)
 
 
 def _split_of(node: Derivation, gamma: FMultiset) -> SplitAnt:
@@ -99,67 +97,80 @@ def _split_of(node: Derivation, gamma: FMultiset) -> SplitAnt:
                     node.conclusion.suc)
 
 
+def _lp_imp_vars(rule: RuleSchema):
+    """(atom, formula) metavariable names when rule has the Lp-> shape
+    G, p?, p? -> X => S <- G, p?, X => S, else None."""
+    conc = rule.conclusion
+    if len(rule.premises) != 1 or len(conc.ant.pats) != 2 or conc.ant.boxed:
+        return None
+    prem = rule.premises[0]
+    for a, i in (conc.ant.pats, conc.ant.pats[::-1]):
+        if (a.kind == core.AMETA and i.kind == core.IMP and i.a == a
+                and i.b.kind == core.FMETA and prem.suc.same_items(conc.suc)
+                and prem.ant.same_items(Side((a, i.b), conc.ant.ctx))):
+            return a.a, i.b.a
+    return None
+
+
 class _Extractor:
-    def __init__(self, calc: Calculus, cache=None):
+    """One extraction; it reads the shape of only the rules the derivation
+    uses, each once."""
+
+    def __init__(self, calc: Calculus):
         self.calc = calc
-        self.cache = cache or shared_cache(calc)
-        self.kinds = {r.name: classify_rule(r, calc.mode) for r in calc.rules}
+        self.shapes = {}     # rule name -> (rule, Lp-> variables, classification)
+
+    def _shape(self, name):
+        shape = self.shapes.get(name)
+        if shape is None:
+            rule = self.calc.rule(name)
+            lp = _lp_imp_vars(rule)
+            kind = None if lp else classify_rule(rule, self.calc.mode)
+            shape = self.shapes[name] = (rule, lp, kind)
+        return shape
 
     def run(self, node: Derivation, gamma: FMultiset) -> Formula:
         if node.is_leaf:
             return axiom_interpolant(self.calc, _split_of(node, gamma))
-        name = node.rule
-        if name == "Lp->":
-            return self._lp_imp(node, gamma)
-        kind = self.kinds.get(name)
-        if kind is None or kind.kind == NOT:
-            raise UnsupportedRule(f"cannot interpolate across rule {name!r}")
+        rule, lp, kind = self._shape(node.rule)
+        if lp:
+            return self._lp_imp(node, gamma, *lp)
+        if not kind:
+            raise UnsupportedRule(f"cannot interpolate across rule {rule.name!r}")
         if kind.kind == RIGHT:
             # premise antecedents extend the context on the P side only
             return fconj_all(self.run(child, gamma) for child in node.children)
-        principal = self._principal(name, node.assignment)
+        if len(rule.conclusion.ant.pats) != 1:
+            raise UnsupportedRule(f"{rule.name} has no single left principal")
+        principal = subst_pattern(rule.conclusion.ant.pats[0], node.assignment)
         if principal in node.conclusion.ant.difference(gamma):
             # part 1: everything the rule introduces stays on the P side
             return fconj_all(self.run(child, gamma) for child in node.children)
         if principal in gamma:
-            return self._left_part2(node, gamma, principal)
-        raise UnsupportedRule(f"principal of {name} not found in the end-sequent")
+            return self._left_part2(rule, node, gamma, principal)
+        raise UnsupportedRule(f"principal of {rule.name} not found in the end-sequent")
 
     # -- helpers -------------------------------------------------------------
 
-    def _principal(self, name, asg):
-        rule = self.calc.rule(name)
-        pats = [it[1] for it in rule.conclusion.ant if it[0] == "pat"]
-        if len(pats) != 1:
-            raise UnsupportedRule(f"{name} has no single left principal")
-        from .calculus import subst_pattern
-        return subst_pattern(pats[0], asg)
-
-    def _rule_formulas(self, prem_ms, asg):
-        from .calculus import subst_pattern
-        return [subst_pattern(it[1], asg) for it in prem_ms.ant if it[0] == "pat"]
-
-    def _left_part2(self, node, gamma, principal):
+    def _left_part2(self, rule, node, gamma, principal):
         """Principal on the G side: rule formulas join G, chi-premises are
         interpolated with the split swapped, and the combinator is
         (/\\ betas) -> (\\/ alphas)."""
         gamma_rest = gamma.remove(principal)
         pi_part = node.conclusion.ant.difference(gamma)
-        rule = self.calc.rule(node.rule)
         alphas, betas = [], []
         for prem_ms, child in zip(rule.premises, node.children):
-            is_chi = any(it[0] == "pat" for it in prem_ms.suc)
-            if is_chi:
+            if prem_ms.suc.pats:          # a chi-premise
                 betas.append(self.run(child, pi_part))
             else:
-                extra = self._rule_formulas(prem_ms, node.assignment)
+                extra = [subst_pattern(p, node.assignment) for p in prem_ms.ant.pats]
                 alphas.append(self.run(child, gamma_rest.union(extra)))
         return fimp(fconj_all(betas), fdisj_all(alphas))
 
-    def _lp_imp(self, node, gamma):
+    def _lp_imp(self, node, gamma, atom_var, formula_var):
         """The two nontrivial Lp-> cases give beta & p and p -> beta."""
         asg = node.assignment
-        patom, phi = asg["p"], asg["A"]
+        patom, phi = asg[atom_var], asg[formula_var]
         prin = imp(patom, phi)
         pi = node.conclusion.ant.difference(gamma)
         child = node.children[0]
@@ -184,8 +195,7 @@ def craig_interpolate(problem: InterpolationProblem,
     defects = check_derivation(calc, problem.derivation)
     if defects:
         raise ValueError(f"input derivation is invalid: {defects[:3]}")
-    ex = _Extractor(calc, cache)
-    alpha = ex.run(problem.derivation, problem.partition.gamma)
+    alpha = _Extractor(calc).run(problem.derivation, problem.partition.gamma)
     split = problem.partition
     left = Sequent(split.gamma, FMultiset([alpha]))
     right = Sequent(split.pi.add(alpha), split.delta)

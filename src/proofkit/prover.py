@@ -127,21 +127,18 @@ class ProverCache:
     """Per-calculus memo shared between queries on request; it answers for
     its own calculus object only.
 
-    proved maps a sequent key to ("ax", name, asg) or (rule, asg, premises);
-    refuted holds keys with exhaustively failed searches; depths holds the
-    depth of the recorded derivation.
+    proved maps a sequent key to ("ax", name) or (rule instance, premise
+    keys); refuted holds keys with exhaustively failed searches.
     """
 
     def __init__(self, calc: Calculus):
         self.calc = calc
         self.proved = {}
         self.refuted = set()
-        self.depths = {}
 
     def clear(self):
         self.proved.clear()
         self.refuted.clear()
-        self.depths.clear()
 
 
 def shared_cache(calc: Calculus) -> ProverCache:
@@ -229,7 +226,6 @@ class _Search:
             ax = axiom_instance(self.calc, s)
             if ax is not None:
                 cache.proved[k] = ("ax", ax)
-                cache.depths[k] = 1
                 newly.append(k)
                 continue
             rows = []
@@ -250,8 +246,6 @@ class _Search:
                 if not todo:
                     if k not in cache.proved:
                         cache.proved[k] = (inst, pk)
-                        cache.depths[k] = 1 + max(
-                            (cache.depths.get(x, 1) for x in pk), default=0)
                         newly.append(k)
                     continue
                 missing[(k, i)] = todo
@@ -267,8 +261,6 @@ class _Search:
                 if not todo:
                     inst, pk = entries[k][i]
                     cache.proved[k] = (inst, pk)
-                    cache.depths[k] = 1 + max(
-                        (cache.depths.get(x, 1) for x in pk), default=0)
                     newly.append(k)
         for k in entries:
             if k not in cache.proved:
@@ -299,7 +291,6 @@ class _Search:
         ax = axiom_instance(self.calc, s)
         if ax is not None:
             cache.proved[key] = ("ax", ax)
-            cache.depths[key] = 1
             return True, True
 
         if depth_left <= 1:
@@ -329,7 +320,6 @@ class _Search:
                 seen_premises.add(prem_keys)
                 ok_all = True
                 abs_all = True
-                depths = []
                 for p in inst.premises:
                     if self.set_reduce:
                         p = _support(p)
@@ -339,10 +329,8 @@ class _Search:
                         ok_all = False
                         absolute = absolute and ab
                         break
-                    depths.append(self.cache.depths.get(p.key(), 1))
                 if ok_all:
                     cache.proved[key] = (inst, prem_keys)
-                    cache.depths[key] = 1 + max(depths, default=0)
                     return True, abs_all
         finally:
             if not self.terminating:

@@ -278,29 +278,6 @@ def render_sequent(s: Sequent) -> str:
     return "=>"
 
 
-def render_metasequent(ms) -> str:
-    def one(side):
-        parts = []
-        for item in side:
-            tag = item[0]
-            if tag == "mv":
-                parts.append(item[1])
-            elif tag == "bmv":
-                parts.append("[]" + item[1])
-            else:
-                parts.append(render_formula(item[1]))
-        return ", ".join(parts)
-
-    left, right = one(ms[0]), one(ms[1])
-    if left and right:
-        return f"{left} => {right}"
-    if left:
-        return f"{left} =>"
-    if right:
-        return f"=> {right}"
-    return "=>"
-
-
 def render(x) -> str:
     if isinstance(x, Formula):
         return render_formula(x)

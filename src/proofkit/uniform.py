@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import core
 from .core import (Formula, FMultiset, Sequent, Top, Bot, atom, atoms,
-                   apply_subst, conj, disj, imp, conj_all, disj_all, fconj,
+                   apply_subst, imp, conj_all, disj_all, fconj,
                    fconj_all, fdisj, fdisj_all, fimp, interpret, seq_multiply,
                    sub_multisets)
 from .calculus import builtin
@@ -69,29 +69,8 @@ def fold_constants(f: Formula) -> Formula:
         return f
     if k in core.UNARY:
         return core._mk(k, fold_constants(f.a))
-    a = fold_constants(f.a)
-    b = fold_constants(f.b)
-    if k == core.AND:
-        if a is Top:
-            return b
-        if b is Top:
-            return a
-        if a is Bot or b is Bot:
-            return Bot
-        return conj(a, b)
-    if k == core.OR:
-        if a is Bot:
-            return b
-        if b is Bot:
-            return a
-        if a is Top or b is Top:
-            return Top
-        return disj(a, b)
-    if a is Bot or b is Top:
-        return Top
-    if a is Top:
-        return b
-    return imp(a, b)
+    fold = {core.AND: fconj, core.OR: fdisj, core.IMP: fimp}[k]
+    return fold(fold_constants(f.a), fold_constants(f.b))
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,17 @@ class TestMatching:
         assert axiom_instance(g1cp, ps("q, p => p")) is None
 
 
+class TestSchemaRendering:
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_repr_reparses_to_an_equal_schema(self, name):
+        calc = builtin(name)
+        lines = [f"calculus {name}", f"mode {calc.mode}"]
+        lines += [f"axiom {n} : {ms!r}" for n, ms in calc.axioms]
+        lines += [f"rule {r!r}" for r in calc.rules]
+        again = from_document(parse_calculus("\n".join(lines)))
+        assert again.axioms == calc.axioms and again.rules == calc.rules
+
+
 class TestInstanceFinite:
     def test_builtins(self):
         for name in builtin_names():
@@ -107,7 +118,7 @@ class TestInstanceFinite:
 
 class TestRegistrationValidation:
     def test_multiplicative_split_rejected(self):
-        with pytest.raises(BadRuleShape):
+        with pytest.raises(BadRuleShape, match="rule Mul"):
             from_document(parse_calculus(
                 "calculus X\nrule Mul : G, P => D <- G => D ; P => D"))
 

@@ -2,13 +2,13 @@ import pytest
 
 from proofkit.core import (FMultiset, Sequent, SplitAnt, Top, Bot, atom,
                            atoms, conj, disj, imp)
-from proofkit.calculus import builtin
-from proofkit.prover import prove, decide
+from proofkit.calculus import _SOURCES, builtin, from_document
+from proofkit.prover import ProverCache, prove, decide
 from proofkit.interpolation import (InterpolationProblem, InterpolantCertificate,
                                     NotAnAxiom, NotProvable, UnsupportedRule,
                                     axiom_interpolant, craig_interpolate,
                                     formula_interpolant, verify_certificate)
-from proofkit.syntax import parse_formula as pf, parse_sequent as ps
+from proofkit.syntax import parse_calculus, parse_formula as pf, parse_sequent as ps
 from proofkit import corpus
 
 p, q, r = atom("p"), atom("q"), atom("r")
@@ -88,6 +88,20 @@ class TestCraig:
         # p on P, p->q on G: interpolant shaped p -> beta
         b = interpolate(g4ip, ps("p, p -> q => q"), [pf("p -> q")], cache)
         assert b.kind == "imp" and b.a is p
+
+    @pytest.mark.parametrize("old,new", [
+        ("rule Lp-> :", "rule Latom-> :"),
+        ("Lp-> : G, p?, p? -> A => D <- G, p?, A => D",
+         "Lp-> : G, q?, q? -> B => D <- G, q?, B => D"),
+    ])
+    def test_lp_imp_shape_under_any_names(self, g4ip, caches, old, new):
+        text = _SOURCES["g4ip"]
+        assert old in text
+        twin = from_document(parse_calculus(text.replace(old, new)))
+        s = ps("p, p -> q => q")
+        for gamma in ([], [p], [pf("p -> q")], [p, pf("p -> q")]):
+            assert interpolate(twin, s, gamma, ProverCache(twin)) == \
+                interpolate(g4ip, s, gamma, caches(g4ip)), gamma
 
     def test_unsupported_rule(self, caches):
         g4ll = builtin("G4LL")
