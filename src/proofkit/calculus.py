@@ -5,6 +5,19 @@ decodes them once, at construction, into a `Side`: the formula patterns in
 written order, at most one plain multiset variable (the context) and at most
 one boxed multiset variable ([]G).  Everything downstream reads those fields.
 
+Matching (`match_metasequent`) finds every instance of a schema sequent in
+a sequent.  `match_conclusion` and `axiom_instance` first skip any schema
+with a side that needs a top-level kind the sequent side lacks (`Side.kinds`:
+an atom for p?, nothing for A).  Within a schema the formula patterns of
+both sides are placed first, most specific first (`MetaSequent.plan`: p? -> A
+before p?, a metavariable already bound found by its occurrences), and the
+remainder, the boxed binding and the context binding are built once per
+complete placement.  The instance order is nevertheless the one of trying
+the patterns in written order, antecedent first, each on every remaining
+occurrence in canonical position order: placements are re-sorted into that
+order when the plan differs from it.  So `match_conclusion` lists instances
+in rule order, then principal-occurrence order, with the same assignments.
+
 All built-in rules are additive: contexts are repeated verbatim across
 premises, so matching a conclusion never splits a context between two plain
 multiset variables.  When a side carries both a plain and a boxed multiset
@@ -18,6 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import attrgetter, itemgetter
 
 from . import core
 from .core import Formula, FMultiset, Sequent, box, metavars
@@ -54,6 +68,17 @@ class Side:
         names = {v for p in self.pats for v in metavars(p)}
         return names | {v for v in (self.ctx, self.boxed) if v is not None}
 
+    @cached_property
+    def kinds(self) -> frozenset:
+        """The top-level kinds a matched multiset must contain: `atom` for
+        p?, the pattern's own kind for a connective or constant, none for A."""
+        return frozenset(_need(p) for p in self.pats) - {None}
+
+
+def _need(pat):
+    """The top-level kind an occurrence matching pat has (None: any)."""
+    return {core.FMETA: None, core.AMETA: core.ATOM}.get(pat.kind, pat.kind)
+
 
 def _decode(items, where) -> Side:
     pats, ctx, boxed = [], [], []
@@ -77,6 +102,37 @@ class MetaSequent:
     def __init__(self, ant_items, suc_items):
         object.__setattr__(self, "ant", _decode(ant_items, "antecedent"))
         object.__setattr__(self, "suc", _decode(suc_items, "succedent"))
+
+    @cached_property
+    def plan(self):
+        """The order in which matching places the formula patterns, and
+        whether it differs from written order.  One entry per pattern:
+        (slot, side, pattern, its name if a bare metavariable, the kind an
+        occurrence needs, the kind its first child needs, earlier slots on
+        the same side); slots number the antecedent patterns, then the
+        succedent ones, in written order.  Most specific first: patterns
+        with a connective or constant at the top (which bind the bare
+        metavariables placed after them), then p?, then A; ties go to the
+        succedent (one formula wide in single-conclusion calculi), then to
+        written order."""
+        na = len(self.ant.pats)
+        pats = [(i, 0, p) for i, p in enumerate(self.ant.pats)]
+        pats += [(na + i, 1, p) for i, p in enumerate(self.suc.pats)]
+        pats.sort(key=lambda e: ({core.AMETA: 1, core.FMETA: 2}.get(e[2].kind, 0),
+                                 -e[1], e[0]))
+        plan = []
+        for slot, side, p in pats:
+            var = p.a if p.kind in (core.AMETA, core.FMETA) else None
+            inner = _need(p.a) if p.kind in core.BINARY + core.UNARY else None
+            others = tuple(e[0] for e in plan if e[1] == side)
+            plan.append((slot, side, p, var, _need(p), inner, others))
+        order = [e[0] for e in plan]
+        return tuple(plan), order != sorted(order)
+
+    def admits(self, kinds) -> bool:
+        """False when a side needs a top-level kind that the sequent, whose
+        (antecedent, succedent) kinds are given, lacks."""
+        return self.ant.kinds <= kinds[0] and self.suc.kinds <= kinds[1]
 
     def __repr__(self):
         # contexts first in the antecedent, last in the succedent
@@ -178,7 +234,7 @@ def match_formula(pat: Formula, f: Formula, asg):
             asg = dict(asg)
             asg[pat.a] = f
             return asg
-        return asg if bound == f else None
+        return asg if bound is f else None
     if k == core.AMETA:
         if f.kind != core.ATOM:
             return None
@@ -187,7 +243,7 @@ def match_formula(pat: Formula, f: Formula, asg):
             asg = dict(asg)
             asg[pat.a] = f
             return asg
-        return asg if bound == f else None
+        return asg if bound is f else None
     if k != f.kind:
         return None
     if k == core.ATOM:
@@ -216,21 +272,60 @@ def subst_pattern(pat: Formula, asg) -> Formula:
     return core._mk(k, subst_pattern(pat.a, asg), subst_pattern(pat.b, asg))
 
 
-def _match_side(side: Side, ms: FMultiset, asg, i=0):
-    """Yield assignments matching one meta-sequent side against a multiset.
-
-    Formula patterns from the i-th on consume occurrences (every choice is
-    enumerated, in canonical position order); the remainder goes to the
-    contexts.
-    """
-    if i < len(side.pats):
-        pat, items = side.pats[i], ms.items
-        for idx, f in enumerate(items):
-            asg2 = match_formula(pat, f, asg)
-            if asg2 is not None:
-                rest = FMultiset._wrap(items[:idx] + items[idx + 1:])
-                yield from _match_side(side, rest, asg2, i + 1)
+def _place(plan, rows, j, asg, pos, out, members):
+    """Append to out every placement of the patterns plan[j:] on distinct
+    occurrences, as (positions in slot order, assignment), in plan order.
+    pos holds the positions placed so far, members per side the ids of its
+    members once a bound metavariable needs them.  A module function rather
+    than a closure that calls itself: such a closure is a reference cycle
+    per call, and collecting those made search on small sequents a quarter
+    slower."""
+    if j == len(plan):
+        out.append((tuple(pos), asg))
         return
+    slot, side, pat, var, need, inner, others = plan[j]
+    row = rows[side]
+    f = asg.get(var) if var is not None else None
+    if f is not None:
+        # a bound metavariable takes its own occurrences, nothing else;
+        # equal members are adjacent in the canonical order
+        ids = members[side]
+        if ids is None:
+            ids = members[side] = set(map(id, row))
+        if id(f) in ids:
+            i = row.index(f)
+            while i < len(row) and row[i] is f:
+                if not (others and any(pos[t] == i for t in others)):
+                    pos[slot] = i
+                    _place(plan, rows, j + 1, asg, pos, out, members)
+                i += 1
+        return
+    for i, g in enumerate(row):
+        if need is not None and (g.kind != need
+                                 or inner is not None and g.a.kind != inner):
+            continue
+        if others and any(pos[t] == i for t in others):
+            continue
+        asg2 = match_formula(pat, g, asg)
+        if asg2 is not None:
+            pos[slot] = i
+            _place(plan, rows, j + 1, asg2, pos, out, members)
+
+
+def _bind_contexts(side: Side, ms: FMultiset, taken, asg):
+    """Bind, or check against a prior binding, the side's boxed and plain
+    contexts on what the patterns leave of ms; None on a mismatch."""
+    if side.ctx is None and side.boxed is None:
+        return asg if len(ms) == len(taken) else None
+    if len(taken) == 1:
+        i = taken[0]
+        ms = FMultiset._wrap(ms.items[:i] + ms.items[i + 1:])
+    elif taken:
+        items, kept, start = ms.items, (), 0
+        for i in sorted(taken):
+            kept += items[start:i]
+            start = i + 1
+        ms = FMultiset._wrap(kept + items[start:])
     if side.boxed is not None:
         # the boxed context first: bind maximally, or check a prior binding
         bound = asg.get(side.boxed)
@@ -241,25 +336,37 @@ def _match_side(side: Side, ms: FMultiset, asg, i=0):
         else:
             image = FMultiset(box(f) for f in bound)
             if not ms.contains(image):
-                return
+                return None
             ms = ms.difference(image)
     if side.ctx is None:
-        if not ms:
-            yield asg
-        return
+        return None if ms else asg
     bound = asg.get(side.ctx)
     if bound is None:
         asg = dict(asg)
         asg[side.ctx] = ms
-        yield asg
-    elif ms == bound:
-        yield asg
+        return asg
+    return asg if ms == bound else None
 
 
 def match_metasequent(ms: MetaSequent, s: Sequent, asg=None):
-    """Yield every assignment under which ms instantiates to s."""
-    for asg1 in _match_side(ms.ant, s.ant, {} if asg is None else asg):
-        yield from _match_side(ms.suc, s.suc, asg1)
+    """Yield every assignment under which ms instantiates to s, in the order
+    of the occurrences the patterns take: antecedent patterns in written
+    order, then succedent ones, each choice tried in canonical position
+    order.  Patterns are placed first (`MetaSequent.plan`), contexts bound
+    once per complete placement."""
+    plan, resort = ms.plan
+    placed = []
+    _place(plan, (s.ant.items, s.suc.items), 0, {} if asg is None else asg,
+           [None] * len(plan), placed, [None, None])
+    if resort and len(placed) > 1:
+        placed.sort(key=itemgetter(0))
+    na = len(ms.ant.pats)
+    for pos, asg1 in placed:
+        asg1 = _bind_contexts(ms.ant, s.ant, pos[:na], asg1)
+        if asg1 is not None:
+            asg1 = _bind_contexts(ms.suc, s.suc, pos[na:], asg1)
+            if asg1 is not None:
+                yield asg1
 
 
 def instantiate(ms: MetaSequent, asg) -> Sequent:
@@ -277,8 +384,11 @@ def instantiate(ms: MetaSequent, asg) -> Sequent:
 def match_conclusion(calc: Calculus, s: Sequent):
     """All rule instances of calc whose conclusion is s, in deterministic
     order: rule order, then principal-occurrence order."""
+    kinds = _kinds(s)
     out = []
     for rule in calc.rules:
+        if not rule.conclusion.admits(kinds):
+            continue
         for asg in match_metasequent(rule.conclusion, s):
             try:
                 premises = tuple(instantiate(p, asg) for p in rule.premises)
@@ -290,10 +400,20 @@ def match_conclusion(calc: Calculus, s: Sequent):
 
 def axiom_instance(calc: Calculus, s: Sequent):
     """Name of the first axiom s instantiates, else None."""
+    kinds = _kinds(s)
     for name, ms in calc.axioms:
-        for _ in match_metasequent(ms, s):
-            return name
+        if ms.admits(kinds):
+            for _ in match_metasequent(ms, s):
+                return name
     return None
+
+
+def _kinds(s: Sequent):
+    """The top-level kinds on each side of s."""
+    return set(map(_kind, s.ant.items)), set(map(_kind, s.suc.items))
+
+
+_kind = attrgetter("kind")
 
 
 def is_instance_finite(calc: Calculus):

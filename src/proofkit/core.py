@@ -1,8 +1,9 @@
 """Formulas, multisets, sequents, substitutions, and complexity orders.
 
-All values here are immutable and interned: constructing the same formula
-twice yields the same object, so equality is pointer equality with a
-structural fallback.  Nothing in this module depends on any calculus.
+All values here are immutable.  Formulas are interned: only `_mk` constructs
+them, so constructing the same formula twice yields the same object, and
+equal formulas are identical.  `Formula` therefore keeps the default identity
+equality.  Nothing in this module depends on any calculus.
 """
 
 from __future__ import annotations
@@ -53,14 +54,6 @@ class Formula:
 
     def __hash__(self):
         return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Formula):
-            return NotImplemented
-        return (self.kind == other.kind and self.a == other.a
-                and self.b == other.b)
 
     def __repr__(self):
         from .syntax import render_formula
@@ -438,13 +431,11 @@ class Sequent:
             return True
         if not isinstance(other, Sequent):
             return NotImplemented
-        return self.ant == other.ant and self.suc == other.suc
+        # the prover caches compare sequents on every hit
+        return self.ant.items == other.ant.items and self.suc.items == other.suc.items
 
     def is_single_conclusion(self) -> bool:
         return len(self.suc) <= 1
-
-    def key(self):
-        return (self.ant.items, self.suc.items)
 
     def __repr__(self):
         from .syntax import render_sequent

@@ -10,6 +10,7 @@ premise splits given in the corresponding interpolation lemma:
     any rule and metavariable names: the two mixed cases produce beta & p
     and p -> beta;
   - right semi-analytic rules: the conjunction of the premise interpolants;
+  - modal rules (K and D shapes): no case here, so UnsupportedRule;
   - left semi-analytic rules with the principal on the P side: again the
     conjunction; with the principal on the G side the chi-premises are
     interpolated with the split swapped and the result is
@@ -29,7 +30,7 @@ from .core import (Formula, FMultiset, Sequent, SplitAnt, Top, Bot, atoms,
                    fconj, fconj_all, fdisj_all, fimp, imp)
 from .calculus import (Calculus, RuleSchema, Side, axiom_instance, builtin,
                        subst_pattern)
-from .classify import classify_rule, RIGHT
+from .classify import classify_rule, MODAL_D, MODAL_K, RIGHT
 from .prover import (Derivation, ProverCache, check_derivation, prove,
                      shared_cache)
 
@@ -137,6 +138,9 @@ class _Extractor:
             return self._lp_imp(node, gamma, *lp)
         if not kind:
             raise UnsupportedRule(f"cannot interpolate across rule {rule.name!r}")
+        if kind.kind in (MODAL_K, MODAL_D):
+            raise UnsupportedRule(f"no Craig interpolation case for the modal "
+                                  f"rule {rule.name!r} ({kind.kind})")
         if kind.kind == RIGHT:
             # premise antecedents extend the context on the P side only
             return fconj_all(self.run(child, gamma) for child in node.children)

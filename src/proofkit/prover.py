@@ -127,8 +127,8 @@ class ProverCache:
     """Per-calculus memo shared between queries on request; it answers for
     its own calculus object only.
 
-    proved maps a sequent key to ("ax", name) or (rule instance, premise
-    keys); refuted holds keys with exhaustively failed searches.
+    proved maps a sequent to ("ax", name) or (rule instance, premises);
+    refuted holds the sequents whose searches failed exhaustively.
     """
 
     def __init__(self, calc: Calculus):
@@ -203,82 +203,77 @@ class _Search:
         sequents bottom-up; sound and refutation-complete because weakening
         and contraction are admissible in the calculi this runs for."""
         cache = self.cache
-        rootkey = root.key()
-        if rootkey in cache.proved:
+        if root in cache.proved:
             return True
-        if rootkey in cache.refuted:
+        if root in cache.refuted:
             return False
-        entries = {}     # key -> list[(inst, premise keys)]
-        waiting = {}     # premise key -> list[(conclusion key, entry idx)]
-        missing = {}     # (conclusion key, entry idx) -> unproved premises
+        entries = {}     # sequent -> list[(inst, support premises)]
+        waiting = {}     # premise -> list[(conclusion, entry idx)]
+        missing = {}     # (conclusion, entry idx) -> unproved premises
         newly = []
         stack = [root]
         seen = set()
         while stack:
             s = stack.pop()
-            k = s.key()
-            if k in seen or k in cache.proved or k in cache.refuted:
+            if s in seen or s in cache.proved or s in cache.refuted:
                 continue
-            seen.add(k)
+            seen.add(s)
             self.stats.nodes += 1
             if self.stats.nodes > self.budget.max_nodes:
                 raise _Budget()
             ax = axiom_instance(self.calc, s)
             if ax is not None:
-                cache.proved[k] = ("ax", ax)
-                newly.append(k)
+                cache.proved[s] = ("ax", ax)
+                newly.append(s)
                 continue
             rows = []
             dedupe = set()
             for inst in self.instances(s):
                 prems = tuple(_support(p) for p in inst.premises)
-                pk = tuple(x.key() for x in prems)
-                if pk in dedupe:
+                if prems in dedupe:
                     continue
-                dedupe.add(pk)
-                rows.append((inst, pk))
-                for x in prems:
-                    stack.append(x)
-            entries[k] = rows
-        for k, rows in entries.items():
-            for i, (inst, pk) in enumerate(rows):
-                todo = {x for x in pk if x not in cache.proved}
+                dedupe.add(prems)
+                rows.append((inst, prems))
+                stack.extend(prems)
+            entries[s] = rows
+        for s, rows in entries.items():
+            for i, (inst, prems) in enumerate(rows):
+                todo = {x for x in prems if x not in cache.proved}
                 if not todo:
-                    if k not in cache.proved:
-                        cache.proved[k] = (inst, pk)
-                        newly.append(k)
+                    if s not in cache.proved:
+                        cache.proved[s] = (inst, prems)
+                        newly.append(s)
                     continue
-                missing[(k, i)] = todo
+                missing[(s, i)] = todo
                 for x in todo:
-                    waiting.setdefault(x, []).append((k, i))
+                    waiting.setdefault(x, []).append((s, i))
         while newly:
             done = newly.pop()
-            for (k, i) in waiting.get(done, ()):
-                if k in cache.proved:
+            for (s, i) in waiting.get(done, ()):
+                if s in cache.proved:
                     continue
-                todo = missing[(k, i)]
+                todo = missing[(s, i)]
                 todo.discard(done)
                 if not todo:
-                    inst, pk = entries[k][i]
-                    cache.proved[k] = (inst, pk)
-                    newly.append(k)
-        for k in entries:
-            if k not in cache.proved:
-                cache.refuted.add(k)
-        return rootkey in cache.proved
+                    inst, prems = entries[s][i]
+                    cache.proved[s] = (inst, prems)
+                    newly.append(s)
+        for s in entries:
+            if s not in cache.proved:
+                cache.refuted.add(s)
+        return root in cache.proved
 
     def _solve(self, s, depth_left, caps):
         cache = self.cache
-        key = s.key()
-        if key in cache.proved:
+        if s in cache.proved:
             return True, True
-        if key in cache.refuted:
+        if s in cache.refuted:
             return False, True
         capsig = None
         if self.caps:
             # heuristic per-query memo: a failure under the same contraction
             # budget is not retried (documented G1-family approximation)
-            capsig = (key, frozenset(caps.items()))
+            capsig = (s, frozenset(caps.items()))
             if capsig in self._heuristic_refuted:
                 return False, False
         self.stats.nodes += 1
@@ -290,15 +285,15 @@ class _Search:
 
         ax = axiom_instance(self.calc, s)
         if ax is not None:
-            cache.proved[key] = ("ax", ax)
+            cache.proved[s] = ("ax", ax)
             return True, True
 
         if depth_left <= 1:
             return False, False
         if not self.terminating:
-            if key in self.branch:
+            if s in self.branch:
                 return False, False
-            self.branch.add(key)
+            self.branch.add(s)
 
         absolute = True
         seen_premises = set()
@@ -314,10 +309,9 @@ class _Search:
                         continue
                     new_caps = dict(caps)
                     new_caps[(name, principal)] = count + 1
-                prem_keys = tuple(p.key() for p in inst.premises)
-                if prem_keys in seen_premises:
+                if inst.premises in seen_premises:
                     continue
-                seen_premises.add(prem_keys)
+                seen_premises.add(inst.premises)
                 ok_all = True
                 abs_all = True
                 for p in inst.premises:
@@ -330,13 +324,13 @@ class _Search:
                         absolute = absolute and ab
                         break
                 if ok_all:
-                    cache.proved[key] = (inst, prem_keys)
+                    cache.proved[s] = (inst, inst.premises)
                     return True, abs_all
         finally:
             if not self.terminating:
-                self.branch.discard(key)
+                self.branch.discard(s)
         if absolute:
-            cache.refuted.add(key)
+            cache.refuted.add(s)
         elif capsig is not None:
             self._heuristic_refuted[capsig] = True
         return False, absolute
@@ -352,11 +346,11 @@ class _Search:
         return d
 
     def _build(self, s: Sequent) -> Derivation:
-        entry = self.cache.proved[s.key()]
+        entry = self.cache.proved[s]
         if entry[0] == "ax":
             asg = _axiom_assignment(self.calc, s, entry[1])
             return Derivation(s, entry[1], asg)
-        inst, prem_keys = entry
+        inst = entry[0]
         children = []
         for p in inst.premises:
             p2 = _support(p) if self.set_reduce else p
@@ -565,11 +559,10 @@ def min_depth(calc: Calculus, s: Sequent, memo=None):
         raise ValueError(f"{calc.name} is not registered terminating")
     if memo is None:
         memo = {}
-    key = s.key()
-    if key in memo:
-        return memo[key]
+    if s in memo:
+        return memo[s]
     if axiom_instance(calc, s) is not None:
-        memo[key] = 1
+        memo[s] = 1
         return 1
     best = None
     for inst in match_conclusion(calc, s):
@@ -584,7 +577,7 @@ def min_depth(calc: Calculus, s: Sequent, memo=None):
             cand = 1 + worst
             if best is None or cand < best:
                 best = cand
-    memo[key] = best
+    memo[s] = best
     return best
 
 

@@ -1,10 +1,12 @@
 import pytest
 
+from proofkit import core, corpus
 from proofkit.core import FMultiset, atom, conj, disj, imp, box
 from proofkit.calculus import (BadRuleShape, UnknownCalculus, builtin,
                                builtin_names, match_conclusion,
-                               axiom_instance, instantiate,
-                               is_instance_finite, from_document)
+                               axiom_instance, instantiate, match_formula,
+                               match_metasequent, is_instance_finite,
+                               from_document)
 from proofkit.syntax import parse_calculus, parse_sequent as ps
 
 p, q, r = atom("p"), atom("q"), atom("r")
@@ -86,6 +88,122 @@ class TestMatching:
         # G1 axioms carry no context
         assert axiom_instance(g1cp, ps("p => p")) == "At"
         assert axiom_instance(g1cp, ps("q, p => p")) is None
+
+
+def reference_match_side(side, ms, asg, i=0):
+    """The plain enumerator matching replaced: every pattern, in written
+    order, tried on every remaining occurrence, the remainder copied at each
+    step, and the contexts bound at the end of each side."""
+    if i < len(side.pats):
+        pat, items = side.pats[i], ms.items
+        for idx, f in enumerate(items):
+            asg2 = match_formula(pat, f, asg)
+            if asg2 is not None:
+                rest = FMultiset._wrap(items[:idx] + items[idx + 1:])
+                yield from reference_match_side(side, rest, asg2, i + 1)
+        return
+    if side.boxed is not None:
+        bound = asg.get(side.boxed)
+        if bound is None:
+            asg = dict(asg)
+            asg[side.boxed] = FMultiset(f.a for f in ms if f.kind == core.BOX)
+            ms = FMultiset(f for f in ms if f.kind != core.BOX)
+        else:
+            image = FMultiset(box(f) for f in bound)
+            if not ms.contains(image):
+                return
+            ms = ms.difference(image)
+    if side.ctx is None:
+        if not ms:
+            yield asg
+        return
+    bound = asg.get(side.ctx)
+    if bound is None:
+        asg = dict(asg)
+        asg[side.ctx] = ms
+        yield asg
+    elif ms == bound:
+        yield asg
+
+
+def reference_match(ms, s, asg=None):
+    for asg1 in reference_match_side(ms.ant, s.ant, {} if asg is None else asg):
+        yield from reference_match_side(ms.suc, s.suc, asg1)
+
+
+def schemas(calc):
+    return [ms for _, ms in calc.axioms] + [r.conclusion for r in calc.rules]
+
+
+# (weight bound, corpus modality) of each builtin's two-atom parity corpus
+PARITY_CORPORA = {"G1cp": (5, None), "G1ip": (5, None), "G3cp": (6, None),
+                  "G3ip": (6, None), "G4ip": (6, None), "G4iK": (5, "box"),
+                  "G4iKD": (5, "box"), "G4LL": (5, "circle")}
+
+# a 3-pattern side, patterns shared within and across sides, a boxed
+# context, a boxed pattern, a two-pattern succedent, and a side whose
+# patterns are placed out of written order
+PARITY_USER = """
+calculus Parity
+mode multi
+axiom At : G, p? => p?, D
+axiom Twice : G, A, A => A, D
+rule Three : G, p?, p? -> A, A => D <- G, A => D
+rule Shared : G, A, A -> B => B, D <- G, A => D
+rule Boxed : P, []G, []A, p? => q?, D <- G, A => q? ; P, []G => D
+rule Pair : G => A, A | B, D <- G => A, B, D
+rule Mixed : G, A, p? => D <- G, A & p? => D
+"""
+
+
+class TestMatchParity:
+    """Compiled matching yields the reference's assignments in the
+    reference's order."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_builtin_corpus(self, name):
+        calc = builtin(name)
+        weight, modal = PARITY_CORPORA[name]
+        seqs = corpus.sequents(("p", "q"), weight, calc.mode == "single", modal)
+        matched = 0
+        for s in seqs:
+            for ms in schemas(calc):
+                want = list(reference_match(ms, s))
+                assert list(match_metasequent(ms, s)) == want, (ms, s)
+                matched += bool(want)
+        assert matched
+
+    def test_user_calculus_with_prior_assignments(self):
+        calc = from_document(parse_calculus(PARITY_USER))
+        stray = {"A": q, "p": p, "G": FMultiset([box(p)])}
+        matched, repeated = set(), set()
+        for s in corpus.sequents(("p", "q"), 5, modal="box"):
+            for _, ms in calc.axioms:
+                assert list(match_metasequent(ms, s)) == list(reference_match(ms, s))
+            for rule in calc.rules:
+                conc = rule.conclusion
+                found = list(reference_match(conc, s))
+                assert list(match_metasequent(conc, s)) == found, (conc, s)
+                if found:
+                    matched.add(rule.name)
+                if any(found.count(a) > 1 for a in found):
+                    repeated.add(rule.name)
+                for asg in found + [stray]:
+                    # the check_derivation path: premises first, then the
+                    # conclusion under what they bound
+                    formulas_only = {k: v for k, v in asg.items()
+                                     if isinstance(v, core.Formula)}
+                    for prior in (formulas_only, asg):
+                        assert list(match_metasequent(conc, s, prior)) == \
+                            list(reference_match(conc, s, prior)), (conc, s, prior)
+                        if asg is stray:
+                            continue
+                        for prem in rule.premises:
+                            inst = instantiate(prem, asg)
+                            assert list(match_metasequent(prem, inst, prior)) == \
+                                list(reference_match(prem, inst, prior)), (prem, inst)
+        assert matched == set(calc.rule_names())
+        assert {"Three", "Boxed", "Pair"} <= repeated
 
 
 class TestSchemaRendering:

@@ -34,6 +34,25 @@ class TestFormulas:
     def test_interning(self):
         assert conj(p, q) is conj(p, q)
         assert imp(p, Bot) is neg(p)
+        # formula equality is identity: parsing, substitution and pattern
+        # instantiation must all return the interned objects
+        from proofkit.calculus import builtin, match_conclusion, subst_pattern
+        from proofkit.syntax import render_formula
+        swap = {"p": q, "q": imp(p, q)}
+        for f in corpus.formulas(("p", "q"), 6):
+            assert pf(render_formula(f)) is f
+            g = apply_subst(swap, f)
+            assert pf(render_formula(g)) is g
+        g4ip = builtin("G4ip")
+        for s in corpus.sequents(("p", "q"), 5, single=True):
+            for inst in match_conclusion(g4ip, s):
+                conc = inst.rule.conclusion
+                for pat in conc.ant.pats:
+                    f = subst_pattern(pat, inst.assignment)
+                    assert any(f is x for x in s.ant), (s, pat)
+                for pat in conc.suc.pats:
+                    f = subst_pattern(pat, inst.assignment)
+                    assert any(f is x for x in s.suc), (s, pat)
 
     def test_structural_equality(self):
         assert conj(p, q) != conj(q, p)

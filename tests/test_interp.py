@@ -112,6 +112,18 @@ class TestCraig:
         with pytest.raises(UnsupportedRule):
             craig_interpolate(InterpolationProblem(g4ll, res.derivation, sp))
 
+    @pytest.mark.parametrize("gamma", ["[]p", "[](p -> false)"])
+    def test_modal_rule_fails_loudly(self, gamma):
+        g4ikd = builtin("G4iKD")
+        res = prove(g4ikd, ps("[]p, [](p -> false) =>"), cache=ProverCache(g4ikd))
+        assert res.derivation.rule == "D[]"
+        s = res.derivation.conclusion
+        sp = SplitAnt(FMultiset([pf(gamma)]), s.ant.difference(FMultiset([pf(gamma)])),
+                      s.suc)
+        problem = InterpolationProblem(g4ikd, res.derivation, sp)
+        with pytest.raises(UnsupportedRule, match=r"'D\[\]' \(ModalSemiAnalytic_D\)"):
+            craig_interpolate(problem, ProverCache(g4ikd))
+
     def test_partition_mismatch_rejected(self, g4ip, caches):
         res = prove(g4ip, ps("p => p"), cache=caches(g4ip))
         with pytest.raises(ValueError):
