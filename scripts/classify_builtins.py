@@ -10,9 +10,9 @@ def main():
     for name in builtin_names():
         calc = builtin(name)
         print(f"== {calc.name} (mode {calc.mode}) ==")
-        for aname, ms in calc.axioms:
-            tag = "focused" if is_focused_axiom(ms, calc.mode) else "not focused"
-            print(f"  axiom {aname:8} {ms!r:32} {tag}")
+        for ax in calc.axioms:
+            tag = "focused" if is_focused_axiom(ax.conclusion, calc.mode) else "not focused"
+            print(f"  axiom {ax.name:8} {ax.conclusion!r:32} {tag}")
         for rname, kind in classify_calculus(calc):
             print(f"  rule  {rname:8} {kind!r}")
         for measure in ("degree", "weight"):

@@ -5,8 +5,14 @@ decodes them once, at construction, into a `Side`: the formula patterns in
 written order, at most one plain multiset variable (the context) and at most
 one boxed multiset variable ([]G).  Everything downstream reads those fields.
 
+A rule is a schema `S1 ... Sn / S` (`RuleSchema`), and an axiom is the case
+n = 0: `Calculus.axioms` holds premise-free schemas, so one instance type
+(`RuleInstance`: schema, assignment, premises, conclusion) records how an
+axiom or a rule closes a sequent.
+
 Matching (`match_metasequent`) finds every instance of a schema sequent in
-a sequent.  `match_conclusion` and `axiom_instance` first skip any schema
+a sequent.  `match_conclusion` and `axiom_instance` share one loop
+(`_instances`), which first skips any schema
 with a side that needs a top-level kind the sequent side lacks (`Side.kinds`:
 an atom for p?, nothing for A).  Within a schema the formula patterns of
 both sides are placed first, most specific first (`MetaSequent.plan`: p? -> A
@@ -146,16 +152,18 @@ class MetaSequent:
 
 @dataclass(frozen=True)
 class RuleSchema:
+    """A rule S1 ... Sn / S; an axiom has no premises."""
+
     name: str
     premises: tuple        # tuple[MetaSequent]
     conclusion: MetaSequent
 
     def __repr__(self):
         prem = " ; ".join(repr(p) for p in self.premises)
-        return f"{self.name}: {self.conclusion!r} <- {prem}"
+        return f"{self.name}: {self.conclusion!r}" + (f" <- {prem}" if prem else "")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleInstance:
     rule: RuleSchema
     assignment: dict
@@ -174,7 +182,7 @@ class Calculus:
 
     name: str = field(compare=False)
     mode: str                       # "single" | "multi"
-    axioms: list                    # [(name, MetaSequent)]
+    axioms: list                    # [RuleSchema], each without premises
     rules: list                     # [RuleSchema]
     termination_measure: str | None = None
     # weakening and contraction are depth-preserving admissible: search may
@@ -381,12 +389,11 @@ def instantiate(ms: MetaSequent, asg) -> Sequent:
     return Sequent(fill(ms.ant), fill(ms.suc))
 
 
-def match_conclusion(calc: Calculus, s: Sequent):
-    """All rule instances of calc whose conclusion is s, in deterministic
-    order: rule order, then principal-occurrence order."""
+def _instances(schemas, s: Sequent):
+    """Yield the instances of schemas whose conclusion is s: schema order,
+    then principal-occurrence order."""
     kinds = _kinds(s)
-    out = []
-    for rule in calc.rules:
+    for rule in schemas:
         if not rule.conclusion.admits(kinds):
             continue
         for asg in match_metasequent(rule.conclusion, s):
@@ -394,18 +401,18 @@ def match_conclusion(calc: Calculus, s: Sequent):
                 premises = tuple(instantiate(p, asg) for p in rule.premises)
             except KeyError:
                 continue   # premise metavariable absent from the conclusion
-            out.append(RuleInstance(rule, asg, premises, s))
-    return out
+            yield RuleInstance(rule, asg, premises, s)
+
+
+def match_conclusion(calc: Calculus, s: Sequent):
+    """All rule instances of calc whose conclusion is s, in deterministic
+    order: rule order, then principal-occurrence order."""
+    return list(_instances(calc.rules, s))
 
 
 def axiom_instance(calc: Calculus, s: Sequent):
-    """Name of the first axiom s instantiates, else None."""
-    kinds = _kinds(s)
-    for name, ms in calc.axioms:
-        if ms.admits(kinds):
-            for _ in match_metasequent(ms, s):
-                return name
-    return None
+    """The first axiom instance whose conclusion is s, else None."""
+    return next(_instances(calc.axioms, s), None)
 
 
 def _kinds(s: Sequent):
@@ -572,7 +579,8 @@ def _schema(owner, items, doc) -> MetaSequent:
 def from_document(doc) -> Calculus:
     """Build a calculus from a parsed CalculusDoc; BadRuleShape names the
     axiom or rule whose sequent breaks a shape condition (`_schema`)."""
-    axioms = [(n, _schema(f"axiom {n}", ms, doc)) for n, ms in doc.axioms]
+    axioms = [RuleSchema(n, (), _schema(f"axiom {n}", ms, doc))
+              for n, ms in doc.axioms]
     rules = [RuleSchema(n, tuple(_schema(f"rule {n}", p, doc) for p in prems),
                         _schema(f"rule {n}", conc, doc))
              for n, prems, conc in doc.rules]

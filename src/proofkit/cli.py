@@ -165,9 +165,9 @@ def cmd_uinterp(args):
 def cmd_classify(args):
     calc = _load_calculus(args.calculus)
     rows = classify_calculus(calc)
-    for name, ms in calc.axioms:
-        focused = is_focused_axiom(ms, calc.mode)
-        print(f"axiom {name}: {'focused' if focused else 'not focused'}")
+    for ax in calc.axioms:
+        focused = is_focused_axiom(ax.conclusion, calc.mode)
+        print(f"axiom {ax.name}: {'focused' if focused else 'not focused'}")
     for name, kind in rows:
         print(f"rule {name}: {kind!r}")
     return 0

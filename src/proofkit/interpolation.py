@@ -68,8 +68,8 @@ class InterpolantCertificate:
 def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
     """Interpolant for a partitioned axiom instance."""
     s = split.underlying()
-    name = axiom_instance(calc, s)
-    if name is None:
+    ax = axiom_instance(calc, s)
+    if ax is None:
         raise NotAnAxiom(repr(s))
     gamma, pi, delta = split.gamma, split.pi, split.delta
     if Bot in pi:
@@ -86,10 +86,8 @@ def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
         return Top
     # generic focused axiom: the witness formulas share one variable set, so
     # the conjunction of those landing on the G side is in the common language
-    from .calculus import match_metasequent
-    ms = dict(calc.axioms)[name]
-    asg = next(match_metasequent(ms, s))
-    witnesses = (subst_pattern(p, asg) for p in ms.ant.pats + ms.suc.pats)
+    ms = ax.rule.conclusion
+    witnesses = (subst_pattern(p, ax.assignment) for p in ms.ant.pats + ms.suc.pats)
     return fconj_all(f for f in witnesses if f in gamma)
 
 

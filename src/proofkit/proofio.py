@@ -63,7 +63,7 @@ def load_derivation(text: str, calc=None) -> Derivation:
         raise FormatError("empty derivation file")
 
     if calc is not None:
-        known = set(calc.rule_names()) | {n for n, _ in calc.axioms} | {"Cut"}
+        known = {r.name for r in calc.axioms + calc.rules} | {"Cut"}
         for _, _, name, _ in rows:
             if name not in known:
                 raise UnknownRuleName(f"{name!r} is not part of {calc.name}")

@@ -97,7 +97,6 @@ class SearchBudget:
 @dataclass
 class SearchStats:
     nodes: int = 0
-    max_depth: int = 0
 
 
 @dataclass
@@ -127,8 +126,9 @@ class ProverCache:
     """Per-calculus memo shared between queries on request; it answers for
     its own calculus object only.
 
-    proved maps a sequent to ("ax", name) or (rule instance, premises);
-    refuted holds the sequents whose searches failed exhaustively.
+    proved maps a sequent to the axiom or rule instance that closes it (a
+    `RuleInstance` whose conclusion is that sequent); refuted holds the
+    sequents whose searches failed exhaustively.
     """
 
     def __init__(self, calc: Calculus):
@@ -223,7 +223,7 @@ class _Search:
                 raise _Budget()
             ax = axiom_instance(self.calc, s)
             if ax is not None:
-                cache.proved[s] = ("ax", ax)
+                cache.proved[s] = ax
                 newly.append(s)
                 continue
             rows = []
@@ -241,7 +241,7 @@ class _Search:
                 todo = {x for x in prems if x not in cache.proved}
                 if not todo:
                     if s not in cache.proved:
-                        cache.proved[s] = (inst, prems)
+                        cache.proved[s] = inst
                         newly.append(s)
                     continue
                 missing[(s, i)] = todo
@@ -255,8 +255,7 @@ class _Search:
                 todo = missing[(s, i)]
                 todo.discard(done)
                 if not todo:
-                    inst, prems = entries[s][i]
-                    cache.proved[s] = (inst, prems)
+                    cache.proved[s] = entries[s][i][0]
                     newly.append(s)
         for s in entries:
             if s not in cache.proved:
@@ -279,13 +278,10 @@ class _Search:
         self.stats.nodes += 1
         if self.stats.nodes > self.budget.max_nodes:
             raise _Budget()
-        used = self.budget.max_depth - depth_left + 1
-        if used > self.stats.max_depth:
-            self.stats.max_depth = used
 
         ax = axiom_instance(self.calc, s)
         if ax is not None:
-            cache.proved[s] = ("ax", ax)
+            cache.proved[s] = ax
             return True, True
 
         if depth_left <= 1:
@@ -324,7 +320,7 @@ class _Search:
                         absolute = absolute and ab
                         break
                 if ok_all:
-                    cache.proved[s] = (inst, inst.premises)
+                    cache.proved[s] = inst
                     return True, abs_all
         finally:
             if not self.terminating:
@@ -346,11 +342,7 @@ class _Search:
         return d
 
     def _build(self, s: Sequent) -> Derivation:
-        entry = self.cache.proved[s]
-        if entry[0] == "ax":
-            asg = _axiom_assignment(self.calc, s, entry[1])
-            return Derivation(s, entry[1], asg)
-        inst = entry[0]
+        inst = self.cache.proved[s]
         children = []
         for p in inst.premises:
             p2 = _support(p) if self.set_reduce else p
@@ -378,14 +370,6 @@ def with_cut(calc: Calculus) -> Calculus:
     """calc plus the Cut rule (for checking cut-bearing derivations)."""
     return Calculus(calc.name + "+Cut", calc.mode, calc.axioms,
                     calc.rules + [cut_rule(calc.mode)], None)
-
-
-def _axiom_assignment(calc, s, name):
-    for n, ms in calc.axioms:
-        if n == name:
-            for asg in match_metasequent(ms, s):
-                return asg
-    return None
 
 
 def pad_derivation(d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Derivation:
@@ -495,28 +479,17 @@ def check_derivation(calc: Calculus, d: Derivation):
     def walk(node, path):
         if calc.mode == "single" and not node.conclusion.is_single_conclusion():
             defects.append((path, f"multi-conclusion sequent {node.conclusion!r}"))
-        if node.is_leaf:
-            names = dict(calc.axioms)
-            ms = names.get(node.rule)
-            if ms is None:
-                defects.append((path, f"unknown axiom {node.rule!r}"))
-                return
-            for _ in match_metasequent(ms, node.conclusion):
-                return
-            defects.append((path, f"{node.conclusion!r} is not an instance of {node.rule}"))
-            return
-        rule = None
-        try:
-            rule = calc.rule(node.rule)
-        except KeyError:
-            defects.append((path, f"unknown rule {node.rule!r}"))
-        if rule is not None:
-            if len(rule.premises) != len(node.children):
-                defects.append((path, f"{node.rule} expects {len(rule.premises)} "
-                                      f"premises, got {len(node.children)}"))
-            elif not _instance_ok(rule, node):
-                defects.append((path, f"not an instance of {node.rule}: "
-                                      f"{node.conclusion!r}"))
+        # a leaf closes by an axiom, an inner node by a rule
+        kind, schemas = ("axiom", calc.axioms) if node.is_leaf else ("rule", calc.rules)
+        rule = next((r for r in schemas if r.name == node.rule), None)
+        if rule is None:
+            defects.append((path, f"unknown {kind} {node.rule!r}"))
+        elif len(rule.premises) != len(node.children):
+            defects.append((path, f"{node.rule} expects {len(rule.premises)} "
+                                  f"premises, got {len(node.children)}"))
+        elif not _instance_ok(rule, node):
+            defects.append((path, f"not an instance of {node.rule}: "
+                                  f"{node.conclusion!r}"))
         for i, c in enumerate(node.children):
             walk(c, path + (i,))
 

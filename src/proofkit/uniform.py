@@ -147,7 +147,7 @@ def _rewrite_ant(ant: FMultiset):
 
 
 def _forall(ctx: _PittsContext, ant: FMultiset, suc: FMultiset) -> Formula:
-    key = (ant.items, suc.items)
+    key = (ant, suc)
     hit = ctx.memo_a.get(key)
     if hit is not None:
         return hit
@@ -204,12 +204,11 @@ def _forall_raw(ctx, ant, suc):
 
 
 def _exists(ctx: _PittsContext, ant: FMultiset) -> Formula:
-    key = ant.items
-    hit = ctx.memo_e.get(key)
+    hit = ctx.memo_e.get(ant)
     if hit is not None:
         return hit
     out = _exists_raw(ctx, ant)
-    ctx.memo_e[key] = out
+    ctx.memo_e[ant] = out
     return out
 
 

@@ -273,8 +273,8 @@ def test_c09_classifier_and_termination_golden(g3ip, g4ip):
                           "L->->": LEFT_CS})
     ok = got3 == want3 and got4 == want4
     for calc in (g3ip, g4ip):
-        for _, ms in calc.axioms:
-            ok &= is_focused_axiom(ms, calc.mode)
+        for ax in calc.axioms:
+            ok &= is_focused_axiom(ax.conclusion, calc.mode)
     for name, kind in (("G4iK", MODAL_K),):
         ok &= any(k.kind == kind for _, k in classify_calculus(builtin(name)))
     ok &= any(k.kind == MODAL_D for _, k in classify_calculus(builtin("G4iKD")))

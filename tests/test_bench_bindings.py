@@ -50,5 +50,7 @@ def test_traced_queries_restore_every_binding(monkeypatch):
     assert {owner: dict(vars(owner)) for owner in BINDINGS} == before
     metrics = tracer.layer_metrics()
     for name in ("classify.classify_rule_calls", "calculus.match_metasequent_calls",
-                 "prover.build_calls"):
+                 "prover.build_calls", "calculus.axiom_instance_calls"):
         assert metrics[name] > 0, name
+    # the tracer counts a hit for every result that is not None
+    assert 0 < metrics["calculus.axiom_hit_ratio"] < 1

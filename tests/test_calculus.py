@@ -30,8 +30,8 @@ class TestBuiltins:
 
     def test_g3ip_single(self, g3ip):
         assert g3ip.mode == "single"
-        for _, ms in g3ip.axioms:
-            assert len(ms.suc) <= 1
+        for ax in g3ip.axioms:
+            assert len(ax.conclusion.suc) <= 1
 
     def test_g4ll_rules(self):
         names = set(builtin("G4LL").rule_names())
@@ -81,12 +81,16 @@ class TestMatching:
         assert insts[0].premises == (ps("p => r"),)
 
     def test_axiom_instance(self, g3cp, g1cp):
-        assert axiom_instance(g3cp, ps("q, p => p, r")) == "At"
-        assert axiom_instance(g3cp, ps("false, q => r")) == "Lbot"
-        assert axiom_instance(g3cp, ps("q => true")) == "Rtop"
+        s = ps("q, p => p, r")
+        ax = axiom_instance(g3cp, s)
+        assert (ax.rule.name, ax.premises, ax.conclusion) == ("At", (), s)
+        assert ax.assignment == {"p": p, "G": FMultiset([q]), "D": FMultiset([r])}
+        assert axiom_instance(g3cp, ps("false, q => r")).rule.name == "Lbot"
+        assert axiom_instance(g3cp, ps("q => true")).rule.name == "Rtop"
         assert axiom_instance(g3cp, ps("q => r")) is None
         # G1 axioms carry no context
-        assert axiom_instance(g1cp, ps("p => p")) == "At"
+        ax = axiom_instance(g1cp, ps("p => p"))
+        assert (ax.rule.name, ax.premises, ax.assignment) == ("At", (), {"p": p})
         assert axiom_instance(g1cp, ps("q, p => p")) is None
 
 
@@ -132,7 +136,7 @@ def reference_match(ms, s, asg=None):
 
 
 def schemas(calc):
-    return [ms for _, ms in calc.axioms] + [r.conclusion for r in calc.rules]
+    return [r.conclusion for r in calc.axioms + calc.rules]
 
 
 # (weight bound, corpus modality) of each builtin's two-atom parity corpus
@@ -178,7 +182,8 @@ class TestMatchParity:
         stray = {"A": q, "p": p, "G": FMultiset([box(p)])}
         matched, repeated = set(), set()
         for s in corpus.sequents(("p", "q"), 5, modal="box"):
-            for _, ms in calc.axioms:
+            for ax in calc.axioms:
+                ms = ax.conclusion
                 assert list(match_metasequent(ms, s)) == list(reference_match(ms, s))
             for rule in calc.rules:
                 conc = rule.conclusion
@@ -211,7 +216,7 @@ class TestSchemaRendering:
     def test_repr_reparses_to_an_equal_schema(self, name):
         calc = builtin(name)
         lines = [f"calculus {name}", f"mode {calc.mode}"]
-        lines += [f"axiom {n} : {ms!r}" for n, ms in calc.axioms]
+        lines += [f"axiom {a!r}" for a in calc.axioms]
         lines += [f"rule {r!r}" for r in calc.rules]
         again = from_document(parse_calculus("\n".join(lines)))
         assert again.axioms == calc.axioms and again.rules == calc.rules

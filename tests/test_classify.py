@@ -84,11 +84,11 @@ class TestFocusedAxioms:
     def test_builtin_axioms_focused(self):
         for name in ("G3ip", "G4ip", "G4LL", "G4iK", "G4iKD"):
             calc = builtin(name)
-            for _, axiom in calc.axioms:
-                assert is_focused_axiom(axiom, calc.mode), (name, axiom)
+            for axiom in calc.axioms:
+                assert is_focused_axiom(axiom.conclusion, calc.mode), (name, axiom)
         g3cp = builtin("G3cp")
-        for _, axiom in g3cp.axioms:
-            assert is_focused_axiom(axiom, "multi"), axiom
+        for axiom in g3cp.axioms:
+            assert is_focused_axiom(axiom.conclusion, "multi"), axiom
 
 
 class TestTerminating:

@@ -3,13 +3,13 @@ import itertools
 import pytest
 
 from proofkit.core import FMultiset, Sequent, atom, conj, disj, imp, neg, Bot
+from proofkit import calculus, corpus, prover
 from proofkit.calculus import builtin
-from proofkit.prover import (Derivation, SearchBudget, NotADisjunction,
+from proofkit.prover import (Derivation, ProverCache, SearchBudget, NotADisjunction,
                              ShapeMismatch, prove, prove_with_cut, decide,
                              check_derivation, min_depth, invert,
                              split_disjunction, admissibility_probe, with_cut)
 from proofkit.syntax import parse_formula as pf, parse_sequent as ps
-from proofkit import corpus
 
 p, q = atom("p"), atom("q")
 
@@ -74,6 +74,28 @@ class TestCheckDerivation:
         defects = check_derivation(g1cp, broken)
         assert defects and any(path == (0,) or path == () for path, _ in defects)
 
+    def test_unknown_axiom(self, g1cp):
+        defects = check_derivation(g1cp, Derivation(ps("p => p"), "Ax"))
+        assert defects == [((), "unknown axiom 'Ax'")]
+        # a rule name does not close a leaf either
+        assert check_derivation(g1cp, Derivation(ps("p => p"), "R->"))[0][1] == \
+            "unknown axiom 'R->'"
+
+    def test_leaf_not_an_axiom_instance(self, g1cp):
+        s = ps("q, p => p")
+        defects = check_derivation(g1cp, Derivation(s, "At"))
+        assert defects == [((), f"not an instance of At: {s!r}")]
+
+    def test_leaf_assignment_checked(self, g3cp):
+        s = ps("q, p => p")
+        good = prove(g3cp, s).derivation
+        assert good.is_leaf and good.assignment is not None
+        assert check_derivation(g3cp, good) == []
+        # the sequent is an instance of At, but not under this assignment
+        wrong = dict(good.assignment, G=FMultiset([p]))
+        defects = check_derivation(g3cp, Derivation(s, "At", wrong))
+        assert defects == [((), f"not an instance of At: {s!r}")]
+
     def test_prover_output_checks(self, g4ip, g3cp, caches):
         for calc, text in ((g4ip, "p & q => q | p"), (g3cp, "=> p | ~p"),
                            (g4ip, "=> ~~(p | ~p)")):
@@ -115,7 +137,31 @@ class TestProve:
 
     def test_stats(self, g4ip, caches):
         r = prove(g4ip, ps("p & q => q"), cache=None)
-        assert r.stats.nodes >= 1 and r.stats.max_depth >= 1
+        assert r.stats.nodes >= 1
+
+    @pytest.mark.parametrize("name", ["G4ip", "G3ip", "G3cp"])
+    def test_warm_cache_rebuilds_without_matching(self, name, monkeypatch):
+        # every proved sequent keeps the instance that closes it, axiom
+        # leaves included, so the derivation is rebuilt from the cache alone
+        calc = builtin(name)
+        s = ps("p & (p -> q) => q | r")
+        cache = ProverCache(calc)
+        first = prove(calc, s, cache=cache)
+        assert first.provable
+        calls = []
+        match = calculus.match_metasequent
+
+        def counted(*args):
+            calls.append(args)
+            return match(*args)
+
+        for module in (calculus, prover):
+            monkeypatch.setattr(module, "match_metasequent", counted)
+        again = prove(calc, s, cache=cache)
+        assert again.derivation == first.derivation and again.stats.nodes == 0
+        assert calls == []
+        assert [n.assignment for n in again.derivation.nodes()] == \
+            [n.assignment for n in first.derivation.nodes()]
 
 
 class TestDecide:
