@@ -34,6 +34,7 @@ those calculi.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -378,13 +379,22 @@ def match_metasequent(ms: MetaSequent, s: Sequent, asg=None):
 
 
 def instantiate(ms: MetaSequent, asg) -> Sequent:
+    """The sequent ms denotes under asg.  A context binding is already in
+    canonical order, so the few instantiated patterns are merged into it;
+    a side that adds nothing to its context is the bound multiset itself."""
     def fill(side):
         out = [subst_pattern(p, asg) for p in side.pats]
-        if side.ctx is not None:
-            out += asg[side.ctx]
         if side.boxed is not None:
             out += map(box, asg[side.boxed])
-        return FMultiset(out)
+        if side.ctx is None:
+            return FMultiset(out)
+        ctx = asg[side.ctx]
+        if not out:
+            return ctx
+        xs = list(ctx.items)
+        for f in out:
+            insort(xs, f, key=Formula.sort_key)
+        return FMultiset._wrap(xs)
 
     return Sequent(fill(ms.ant), fill(ms.suc))
 

@@ -3,7 +3,8 @@
 All values here are immutable.  Formulas are interned: only `_mk` constructs
 them, so constructing the same formula twice yields the same object, and
 equal formulas are identical.  `Formula` therefore keeps the default identity
-equality.  Nothing in this module depends on any calculus.
+equality and hash; `_intern` keeps every formula alive, so no identity is
+ever reused.  Nothing in this module depends on any calculus.
 """
 
 from __future__ import annotations
@@ -39,21 +40,16 @@ class Formula:
     left/inner child, `b` the right child (binary kinds only).
     """
 
-    __slots__ = ("kind", "a", "b", "_hash", "_weight", "_degree",
-                 "_atoms", "_key")
+    __slots__ = ("kind", "a", "b", "_weight", "_degree", "_atoms", "_key")
 
     def __init__(self, kind, a=None, b=None):
         self.kind = kind
         self.a = a
         self.b = b
-        self._hash = hash((kind, a, b))
         self._weight = None
         self._degree = None
         self._atoms = None
         self._key = None
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         from .syntax import render_formula
@@ -381,29 +377,32 @@ class FMultiset:
         return FMultiset._wrap(xs)
 
     def difference(self, other) -> "FMultiset":
-        xs = list(self.items)
-        for f in other:
-            if f in xs:
-                xs.remove(f)
+        """Drop one occurrence per member of other; absent members are
+        ignored."""
+        drop = _counts(other)
+        xs = []
+        for f in self.items:
+            if drop.get(f):
+                drop[f] -= 1
+            else:
+                xs.append(f)
         return FMultiset._wrap(xs)
 
     def contains(self, other) -> bool:
         """Multiset inclusion, multiplicities respected."""
-        xs = list(self.items)
+        have = _counts(self.items)
         for f in other:
-            if f in xs:
-                xs.remove(f)
-            else:
+            n = have.get(f)
+            if not n:
                 return False
+            have[f] = n - 1
         return True
 
     def support(self) -> "FMultiset":
-        """Each distinct member once."""
-        seen, xs = set(), []
-        for f in self.items:
-            if f not in seen:
-                seen.add(f)
-                xs.append(f)
+        """Each distinct member once (self when there are no duplicates)."""
+        xs = dict.fromkeys(self.items)
+        if len(xs) == len(self.items):
+            return self
         return FMultiset._wrap(xs)
 
     def __repr__(self):
@@ -411,6 +410,15 @@ class FMultiset:
 
 
 EMPTY = FMultiset()
+
+
+def _counts(xs) -> dict:
+    """Multiplicity of each member; a plain dict, which beats `Counter` on
+    the few-formula multisets of a sequent."""
+    counts = {}
+    for f in xs:
+        counts[f] = counts.get(f, 0) + 1
+    return counts
 
 
 class Sequent:

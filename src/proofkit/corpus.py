@@ -90,10 +90,6 @@ def sequents(names=("p", "q"), max_weight=6, single=False, modal=None):
                 yield Sequent(ant, suc)
 
 
-def count_formulas(names, max_weight, modal=None):
-    return sum(len(layer) for layer in _strata_cached(tuple(names), max_weight, modal))
-
-
 def _count_multisets_by_weight(names, max_weight, modal=None):
     """counts[w] = number of formula multisets of total weight exactly w."""
     strata = _strata_cached(tuple(names), max_weight, modal)

@@ -5,6 +5,8 @@ terminating calculi (a registered termination measure) plain memoized
 recursion is a decision procedure.  For the rest the engine keeps the current
 branch and fails on repeats; refutations computed below a repeat hit are not
 cached, so cached refutations always come from exhaustive subsearches.
+A sequent's derivation is built once, when it is proved, from the derivations
+already stored for its premises; a provable query only looks it up.
 
 What the calculus declares or implies picks the rest:
 
@@ -126,8 +128,9 @@ class ProverCache:
     """Per-calculus memo shared between queries on request; it answers for
     its own calculus object only.
 
-    proved maps a sequent to the axiom or rule instance that closes it (a
-    `RuleInstance` whose conclusion is that sequent); refuted holds the
+    proved maps a sequent to its derivation, built once when the sequent
+    is proved; a node's children are the derivations stored for its
+    premises, so derivations share their subtrees.  refuted holds the
     sequents whose searches failed exhaustively.
     """
 
@@ -149,7 +152,11 @@ def shared_cache(calc: Calculus) -> ProverCache:
 
 
 def _support(s: Sequent) -> Sequent:
-    return Sequent(s.ant.support(), s.suc.support())
+    """s with duplicates dropped on both sides; s itself when it has none."""
+    ant, suc = s.ant.support(), s.suc.support()
+    if ant is s.ant and suc is s.suc:
+        return s
+    return Sequent(ant, suc)
 
 
 class _Search:
@@ -223,7 +230,7 @@ class _Search:
                 raise _Budget()
             ax = axiom_instance(self.calc, s)
             if ax is not None:
-                cache.proved[s] = ax
+                cache.proved[s] = self._derive(s, ax, ())
                 newly.append(s)
                 continue
             rows = []
@@ -241,7 +248,7 @@ class _Search:
                 todo = {x for x in prems if x not in cache.proved}
                 if not todo:
                     if s not in cache.proved:
-                        cache.proved[s] = inst
+                        cache.proved[s] = self._derive(s, inst, prems)
                         newly.append(s)
                     continue
                 missing[(s, i)] = todo
@@ -255,7 +262,7 @@ class _Search:
                 todo = missing[(s, i)]
                 todo.discard(done)
                 if not todo:
-                    cache.proved[s] = entries[s][i][0]
+                    cache.proved[s] = self._derive(s, *entries[s][i])
                     newly.append(s)
         for s in entries:
             if s not in cache.proved:
@@ -281,7 +288,7 @@ class _Search:
 
         ax = axiom_instance(self.calc, s)
         if ax is not None:
-            cache.proved[s] = ax
+            cache.proved[s] = self._derive(s, ax, ())
             return True, True
 
         if depth_left <= 1:
@@ -310,6 +317,7 @@ class _Search:
                 seen_premises.add(inst.premises)
                 ok_all = True
                 abs_all = True
+                prems = []
                 for p in inst.premises:
                     if self.set_reduce:
                         p = _support(p)
@@ -319,8 +327,9 @@ class _Search:
                         ok_all = False
                         absolute = absolute and ab
                         break
+                    prems.append(p)
                 if ok_all:
-                    cache.proved[s] = inst
+                    cache.proved[s] = self._derive(s, inst, prems)
                     return True, abs_all
         finally:
             if not self.terminating:
@@ -331,27 +340,27 @@ class _Search:
             self._heuristic_refuted[capsig] = True
         return False, absolute
 
-    # -- derivation reconstruction -------------------------------------------
+    # -- derivations ---------------------------------------------------------
 
-    def build(self, s: Sequent) -> Derivation:
-        target = _support(s) if self.set_reduce else s
-        d = self._build(target)
-        if self.set_reduce and target != s:
-            d = pad_derivation(d, s.ant.difference(target.ant),
-                               s.suc.difference(target.suc))
-        return d
-
-    def _build(self, s: Sequent) -> Derivation:
-        inst = self.cache.proved[s]
+    def _derive(self, s: Sequent, inst: RuleInstance, prems) -> Derivation:
+        """The derivation of s by the axiom or rule instance inst, whose
+        premises were searched as prems (their support forms when
+        set-reduced), each already proved: the stored derivations of prems,
+        padded back to the premises."""
+        proved = self.cache.proved
         children = []
-        for p in inst.premises:
-            p2 = _support(p) if self.set_reduce else p
-            child = self._build(p2)
-            if self.set_reduce and p2 != p:
-                child = pad_derivation(child, p.ant.difference(p2.ant),
-                                       p.suc.difference(p2.suc))
+        for p, p2 in zip(inst.premises, prems):
+            child = proved[p2]
+            if p2 is not p:
+                child = _padded(child, p)
             children.append(child)
         return Derivation(s, inst.rule.name, inst.assignment, children)
+
+    def build(self, s: Sequent) -> Derivation:
+        """The stored derivation of the proved s, padded back to s."""
+        target = _support(s) if self.set_reduce else s
+        d = self.cache.proved[target]
+        return d if target is s else _padded(d, s)
 
 
 @lru_cache(maxsize=4)
@@ -399,6 +408,12 @@ def pad_derivation(d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Deri
                 asg = None
     children = [pad_derivation(c, extra_ant, extra_suc) for c in d.children]
     return Derivation(conclusion, d.rule, asg, children)
+
+
+def _padded(d: Derivation, s: Sequent) -> Derivation:
+    """d, a derivation of the support form of s, padded back to s."""
+    return pad_derivation(d, s.ant.difference(d.conclusion.ant),
+                          s.suc.difference(d.conclusion.suc))
 
 
 # ---------------------------------------------------------------------------

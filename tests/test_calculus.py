@@ -6,7 +6,7 @@ from proofkit.calculus import (BadRuleShape, UnknownCalculus, builtin,
                                builtin_names, match_conclusion,
                                axiom_instance, instantiate, match_formula,
                                match_metasequent, is_instance_finite,
-                               from_document)
+                               from_document, subst_pattern)
 from proofkit.syntax import parse_calculus, parse_sequent as ps
 
 p, q, r = atom("p"), atom("q"), atom("r")
@@ -209,6 +209,54 @@ class TestMatchParity:
                                 list(reference_match(prem, inst, prior)), (prem, inst)
         assert matched == set(calc.rule_names())
         assert {"Three", "Boxed", "Pair"} <= repeated
+
+
+def reference_instantiate(ms, asg):
+    """Premise instantiation that sorts every side from scratch."""
+    def fill(side):
+        out = [subst_pattern(pat, asg) for pat in side.pats]
+        if side.ctx is not None:
+            out += asg[side.ctx]
+        if side.boxed is not None:
+            out += map(box, asg[side.boxed])
+        return FMultiset(out)
+
+    return fill(ms.ant).items, fill(ms.suc).items
+
+
+class TestMergedInstantiation:
+    """instantiate merges the instantiated patterns into the sorted context
+    binding; a mis-sorted side would break Sequent equality and context
+    binding, so every premise must carry the canonical order."""
+
+    @staticmethod
+    def check(rule, inst):
+        for ms, got in zip(rule.premises, inst.premises):
+            assert (got.ant.items, got.suc.items) == \
+                reference_instantiate(ms, inst.assignment), (rule.name, inst.conclusion)
+            for side, items in ((ms.ant, got.ant), (ms.suc, got.suc)):
+                if side.ctx is not None and not side.pats and side.boxed is None:
+                    assert items is inst.assignment[side.ctx]
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_builtin_corpus(self, name):
+        calc = builtin(name)
+        weight, modal = PARITY_CORPORA[name]
+        used = set()
+        for s in corpus.sequents(("p", "q"), weight, calc.mode == "single", modal):
+            for inst in match_conclusion(calc, s):
+                self.check(inst.rule, inst)
+                used.add(inst.rule.name)
+        assert used
+
+    def test_user_calculus(self):
+        calc = from_document(parse_calculus(PARITY_USER))
+        used = set()
+        for s in corpus.sequents(("p", "q"), 5, modal="box"):
+            for inst in match_conclusion(calc, s):
+                self.check(inst.rule, inst)
+                used.add(inst.rule.name)
+        assert used == set(calc.rule_names())
 
 
 class TestSchemaRendering:

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -127,6 +128,33 @@ class TestMultisets:
         assert a.contains(b) and not b.contains(a)
         assert FMultiset([p, p]).contains(FMultiset([p]))
         assert not FMultiset([p]).contains(FMultiset([p, p]))
+
+    @given(st.lists(formula_strategy(max_leaves=3), max_size=8),
+           st.lists(formula_strategy(max_leaves=3), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_difference_and_contains_match_a_counter(self, xs, ys):
+        # multiplicities on both sides, members of ys absent from xs
+        a, b = FMultiset(xs), FMultiset(ys)
+        want = Counter(xs) - Counter(ys)
+        got = a.difference(b)
+        assert Counter(got.items) == want
+        assert got == FMultiset(want.elements())
+        assert a.difference(ys) == got
+        assert a.contains(b) == (not Counter(ys) - Counter(xs))
+        assert a.contains(ys) == a.contains(b)
+        assert a.contains(got) and a.contains(FMultiset())
+
+    def test_sequent_keys_found_from_rendered_text(self):
+        # formulas hash by identity; re-parsing yields the interned objects,
+        # so a sequent rebuilt from its text finds the original key
+        from proofkit.syntax import render_sequent
+        seqs = list(corpus.sequents(("p", "q"), 5))
+        table = {s: i for i, s in enumerate(seqs)}
+        assert len(table) == len(seqs)
+        for i, s in enumerate(seqs):
+            again = ps(render_sequent(s))
+            assert again is not s and hash(again) == hash(s)
+            assert table[again] == i
 
     def test_sub_multisets(self):
         m = FMultiset([p, p, q])

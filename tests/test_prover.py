@@ -141,8 +141,8 @@ class TestProve:
 
     @pytest.mark.parametrize("name", ["G4ip", "G3ip", "G3cp"])
     def test_warm_cache_rebuilds_without_matching(self, name, monkeypatch):
-        # every proved sequent keeps the instance that closes it, axiom
-        # leaves included, so the derivation is rebuilt from the cache alone
+        # every proved sequent keeps its derivation, axiom leaves included,
+        # so a warm query is answered from the cache alone
         calc = builtin(name)
         s = ps("p & (p -> q) => q | r")
         cache = ProverCache(calc)
@@ -162,6 +162,38 @@ class TestProve:
         assert calls == []
         assert [n.assignment for n in again.derivation.nodes()] == \
             [n.assignment for n in first.derivation.nodes()]
+
+
+    @pytest.mark.parametrize("name", ["G4ip", "G3ip", "G3cp"])
+    def test_warm_cache_returns_the_stored_derivation(self, name):
+        calc = builtin(name)
+        s = ps("p & (p -> q) => q | r")
+        cache = ProverCache(calc)
+        first = prove(calc, s, cache=cache)
+        again = prove(calc, s, cache=cache)
+        assert again.derivation is cache.proved[s] is first.derivation
+        # each child is the derivation stored for its premise (G3ip is
+        # decided by saturation, G3cp and G4ip by recursive search)
+        for node in first.derivation.nodes():
+            for c in node.children:
+                assert c is cache.proved[c.conclusion]
+        assert check_derivation(calc, first.derivation) == []
+
+    @pytest.mark.parametrize("name", ["G3cp", "G3ip"])
+    def test_duplicates_are_padded_back(self, name):
+        # the search runs on support sequents; the answer is padded back to
+        # the multisets asked for, at the root and below a rule whose
+        # premise repeats a formula
+        calc = builtin(name)
+        text = "p & p, p & p, q => p" if name == "G3ip" else "p & p, p & p, q => p, p"
+        s = ps(text)
+        cache = ProverCache(calc)
+        for _ in range(2):
+            d = prove(calc, s, cache=cache).derivation
+            assert d.conclusion == s and check_derivation(calc, d) == []
+            assert d is not cache.proved[Sequent(s.ant.support(), s.suc.support())]
+            assert d.children[0].conclusion == ps(
+                "p, p, p & p, q => p" + ("" if name == "G3ip" else ", p"))
 
 
 class TestDecide:
