@@ -88,6 +88,8 @@ def _need(pat):
 
 
 def _decode(items, where) -> Side:
+    if isinstance(items, Side):
+        return items
     pats, ctx, boxed = [], [], []
     for tag, x in items:
         {"pat": pats, "mv": ctx, "bmv": boxed}[tag].append(x)
@@ -100,8 +102,8 @@ def _decode(items, where) -> Side:
 @dataclass(frozen=True, init=False)
 class MetaSequent:
     """A schema sequent, built from the parser's (antecedent items,
-    succedent items); raises BadRuleShape for a side with two plain or two
-    boxed contexts."""
+    succedent items) or from two Sides; raises BadRuleShape for a side with
+    two plain or two boxed contexts."""
 
     ant: Side
     suc: Side
@@ -179,7 +181,7 @@ class RuleInstance:
 class Calculus:
     """A calculus as data.  Equality compares content, never the name, and
     search behaviour follows from content alone: `wc_admissible` is the
-    declared `structural wc-admissible`, `contractions` is derived."""
+    declared `structural wc-admissible`, `structural` and `searched` derived."""
 
     name: str = field(compare=False)
     mode: str                       # "single" | "multi"
@@ -193,16 +195,36 @@ class Calculus:
     shared: object = field(default=None, init=False, compare=False, repr=False)
 
     @cached_property
-    def contractions(self):
-        """{rule name: duplicated pattern} for every contraction rule: one
-        premise that repeats one formula pattern of the conclusion on one
-        side and is otherwise the conclusion."""
+    def structural(self):
+        """{(kind, side): (rule, A)} for the weakening ("W") and contraction
+        ("C") rules on side 0 (antecedent) or 1 (succedent) of any sequent,
+        A the formula metavariable they add or contract."""
         out = {}
         for r in self.rules:
-            pat = _duplicated_pattern(r)
-            if pat is not None:
-                out[r.name] = pat
+            shape = _structural_shape(r, self.mode == "single")
+            if shape is not None:
+                out.setdefault(shape[:2], (r, shape[2]))
         return out
+
+    @cached_property
+    def searched(self) -> Calculus:
+        """The calculus the prover searches: itself, or, with weakening on
+        both sides and contraction on the antecedent (on the succedent too
+        when multi-conclusion), its G3 form (Troelstra & Schwichtenberg,
+        *Basic Proof Theory*, G1 and G3): the structural rules dropped,
+        every axiom side given a plain context, each rule's conclusion
+        patterns kept in its premises (the succedent ones when
+        multi-conclusion), wc-admissible and without a measure."""
+        multi = self.mode == "multi"
+        need = {("W", 0), ("W", 1), ("C", 0)} | ({("C", 1)} if multi else set())
+        rules = [r for r in self.rules if _structural_shape(r, not multi) is None]
+        if not (need <= self.structural.keys()
+                and all(_keeps_principal(r, multi) for r in self.axioms + rules)):
+            return self
+        axioms = [replace(a, conclusion=_with_contexts(a.conclusion)) for a in self.axioms]
+        rules = [replace(r, premises=tuple(_kept(p, r.conclusion, multi) for p in r.premises))
+                 for r in rules]
+        return Calculus(self.name, self.mode, axioms, rules, None, True)
 
     def rule(self, name) -> RuleSchema:
         for r in self.rules:
@@ -217,18 +239,63 @@ class Calculus:
         return f"<calculus {self.name}: {len(self.axioms)} axioms, {len(self.rules)} rules>"
 
 
-def _duplicated_pattern(rule: RuleSchema):
+def _structural_shape(rule: RuleSchema, single: bool):
+    """(kind, side, A) when rule weakens ("W") or contracts ("C") any
+    formula A on side 0 or 1 of any sequent, else None: one premise, the
+    other side the same bare context in both, and this side one context
+    (none needed on a single-conclusion succedent) that the conclusion
+    extends by A and the premise by nothing (W) or by A, A (C)."""
     if len(rule.premises) != 1:
         return None
-    prem, conc = rule.premises[0], rule.conclusion
-    for grown, base, p_other, c_other in ((prem.ant, conc.ant, prem.suc, conc.suc),
-                                          (prem.suc, conc.suc, prem.ant, conc.ant)):
-        if not p_other.same_items(c_other):
+    pairs = ((rule.premises[0].ant, rule.conclusion.ant),
+             (rule.premises[0].suc, rule.conclusion.suc))
+    for side in (0, 1):
+        (p, c), (p_other, c_other) = pairs[side], pairs[1 - side]
+        if (p_other != c_other or p_other.pats or p_other.boxed
+                or p_other.ctx is None or p.boxed or c.boxed or p.ctx != c.ctx
+                or c.ctx is None and not (single and side)
+                or len(c.pats) != 1 or c.pats[0].kind != core.FMETA):
             continue
-        for pat in set(base.pats):
-            if grown.same_items(replace(base, pats=base.pats + (pat,))):
-                return pat
+        a = c.pats[0]
+        kind = {(): "W", (a, a): "C"}.get(p.pats)
+        if kind is not None:
+            return kind, side, a.a
     return None
+
+
+def _keeps_principal(rule: RuleSchema, multi: bool) -> bool:
+    """True when the G3 form may keep rule's principal in its premises and
+    match it on support sequents: at most one formula pattern on each
+    conclusion side (a support sequent holds one copy of each formula), no
+    boxed context, and for a rule with premises a conclusion that matches
+    every larger sequent and whose plain contexts every premise carries."""
+    c = rule.conclusion
+    if len(c.ant.pats) > 1 or len(c.suc.pats) > 1 or c.ant.boxed or c.suc.boxed:
+        return False
+    return not rule.premises or len(c.suc) > 0 and all(
+        _plain(ms, multi) and ms.ant.ctx == c.ant.ctx and (not multi or ms.suc.ctx == c.suc.ctx)
+        for ms in (c,) + rule.premises)
+
+
+def _plain(ms: MetaSequent, multi: bool) -> bool:
+    """ms has a plain antecedent context, a plain succedent one when
+    multi-conclusion, and no boxed one."""
+    return not (ms.ant.boxed or ms.suc.boxed or ms.ant.ctx is None
+                or multi and ms.suc.ctx is None)
+
+
+def _with_contexts(ms: MetaSequent) -> MetaSequent:
+    """ms with a plain context on each side that has none, named apart
+    from every DSL variable."""
+    return MetaSequent(replace(ms.ant, ctx=ms.ant.ctx or "G'"),
+                       replace(ms.suc, ctx=ms.suc.ctx or "D'"))
+
+
+def _kept(prem: MetaSequent, conc: MetaSequent, multi: bool) -> MetaSequent:
+    """prem with conc's antecedent patterns added, and its succedent ones
+    when multi-conclusion."""
+    suc = replace(prem.suc, pats=prem.suc.pats + conc.suc.pats) if multi else prem.suc
+    return MetaSequent(replace(prem.ant, pats=prem.ant.pats + conc.ant.pats), suc)
 
 
 # ---------------------------------------------------------------------------
@@ -579,8 +646,7 @@ def _schema(owner, items, doc) -> MetaSequent:
     if doc.sequent_mode == "single" and len(ms.suc.pats) > 1:
         raise BadRuleShape(f"{owner}: succedent too wide for a "
                            f"single-conclusion calculus")
-    if doc.wc_admissible and (ms.ant.boxed or ms.suc.boxed or ms.ant.ctx is None
-                              or (doc.sequent_mode == "multi" and ms.suc.ctx is None)):
+    if doc.wc_admissible and not _plain(ms, doc.sequent_mode == "multi"):
         raise BadRuleShape(f"{owner}: {ms!r} lacks the plain contexts that "
                            f"'structural wc-admissible' needs")
     return ms

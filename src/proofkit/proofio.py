@@ -25,62 +25,76 @@ class UnknownRuleName(Exception):
 # derivations
 
 def emit_derivation(d: Derivation, calculus_name: str | None = None) -> str:
-    lines = []
-    if calculus_name:
-        lines.append(f"calculus {calculus_name}")
+    def line(node):
+        tag = "axiom" if node.is_leaf else "rule"
+        return f"{tag} {node.rule} :: {render_sequent(node.conclusion)}"
+
+    return _write_tree(d, calculus_name and f"calculus {calculus_name}", line)
+
+
+def _write_tree(root, header, line) -> str:
+    """The indentation-based text of the tree at root, two spaces per
+    level, after the header line if there is one; line renders a node."""
+    lines = [header] if header else []
 
     def walk(node, depth):
-        tag = "axiom" if node.is_leaf else "rule"
-        lines.append("  " * depth + f"{tag} {node.rule} :: {render_sequent(node.conclusion)}")
+        lines.append("  " * depth + line(node))
         for c in node.children:
             walk(c, depth + 1)
 
-    walk(d, 0)
+    walk(root, 0)
     return "\n".join(lines) + "\n"
 
 
 def load_derivation(text: str, calc=None) -> Derivation:
-    rows = []
-    calculus_name = None
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
-        if raw.startswith("calculus "):
-            calculus_name = raw.split(None, 1)[1].strip()
-            continue
-        stripped = raw.lstrip(" ")
-        indent = len(raw) - len(stripped)
-        if indent % 2:
-            raise FormatError(f"odd indentation in {raw!r}")
-        head, sep, seq_text = stripped.partition("::")
+    known = None
+    if calc is not None:
+        known = {r.name for r in calc.axioms + calc.rules} | {"Cut"}
+
+    def parse(raw):
+        head, sep, seq_text = raw.lstrip(" ").partition("::")
         if not sep:
             raise FormatError(f"missing '::' in {raw!r}")
         parts = head.split()
         if len(parts) != 2 or parts[0] not in ("rule", "axiom"):
             raise FormatError(f"expected 'rule NAME ::' or 'axiom NAME ::' in {raw!r}")
-        rows.append((indent // 2, parts[0], parts[1], parse_sequent(seq_text.strip())))
-    if not rows:
-        raise FormatError("empty derivation file")
+        name, seq = parts[1], parse_sequent(seq_text.strip())
+        if known is not None and name not in known:
+            raise UnknownRuleName(f"{name!r} is not part of {calc.name}")
+        return (lambda children: Derivation(seq, name, None, children)), False
 
-    if calc is not None:
-        known = {r.name for r in calc.axioms + calc.rules} | {"Cut"}
-        for _, _, name, _ in rows:
-            if name not in known:
-                raise UnknownRuleName(f"{name!r} is not part of {calc.name}")
+    return _read_tree(text, "calculus ", parse, "empty derivation file")
+
+
+def _read_tree(text, header, parse, empty):
+    """The tree an indentation-based file spells, two spaces per level.
+    Blank lines, `#` comments and header lines are skipped; parse turns
+    each node line into (build, leaf): build(children) makes the node, and
+    a leaf takes no children."""
+    rows = []
+    for raw in text.splitlines():
+        if not raw.strip() or raw.lstrip().startswith("#") or raw.startswith(header):
+            continue
+        indent = len(raw) - len(raw.lstrip(" "))
+        if indent % 2:
+            raise FormatError(f"odd indentation in {raw!r}")
+        rows.append((indent // 2, parse(raw)))
+    if not rows:
+        raise FormatError(empty)
 
     def build(i, depth):
-        level, tag, name, seq = rows[i]
+        level, (make, leaf) = rows[i]
         if level != depth:
             raise FormatError(f"bad indentation at line {i + 1}")
         children = []
         j = i + 1
-        while j < len(rows) and rows[j][0] > depth:
+        while not leaf and j < len(rows) and rows[j][0] > depth:
             if rows[j][0] == depth + 1:
                 child, j = build(j, depth + 1)
                 children.append(child)
             else:
                 raise FormatError(f"indentation jump at line {j + 1}")
-        return Derivation(seq, name, None, children), j
+        return make(children), j
 
     root, end = build(0, 0)
     if end != len(rows):
@@ -92,44 +106,25 @@ def load_derivation(text: str, calc=None) -> Derivation:
 # natural deduction
 
 def emit_nd(d, system: str | None = None) -> str:
-    lines = []
-    if system:
-        lines.append(f"system {system}")
-
-    def walk(node, depth):
-        pad = "  " * depth
+    def line(node):
         if isinstance(node, Assume):
-            lines.append(f"{pad}assume {render_formula(node.formula)} [{node.label}]")
-            return
+            return f"assume {render_formula(node.formula)} [{node.label}]"
         labels = ",".join(node.discharged)
-        lines.append(f"{pad}nd {node.rule} [{labels}] :: {render_formula(node.formula)}")
-        for c in node.children:
-            walk(c, depth + 1)
+        return f"nd {node.rule} [{labels}] :: {render_formula(node.formula)}"
 
-    walk(d, 0)
-    return "\n".join(lines) + "\n"
+    return _write_tree(d, system and f"system {system}", line)
 
 
 def load_nd(text: str):
-    rows = []
-    for raw in text.splitlines():
-        if not raw.strip() or raw.lstrip().startswith("#") or raw.startswith("system "):
-            continue
-        stripped = raw.lstrip(" ")
-        indent = len(raw) - len(stripped)
-        if indent % 2:
-            raise FormatError(f"odd indentation in {raw!r}")
-        rows.append((indent // 2, stripped))
-    if not rows:
-        raise FormatError("empty deduction file")
-
-    def parse_row(body):
+    def parse(raw):
+        body = raw.lstrip(" ")
         if body.startswith("assume "):
             rest = body[len("assume "):]
             fml, sep, label = rest.rpartition("[")
             if not sep or not label.endswith("]"):
                 raise FormatError(f"assumption needs a [label]: {body!r}")
-            return ("assume", parse_formula(fml.strip()), label[:-1].strip())
+            node = Assume(parse_formula(fml.strip()), label[:-1].strip())
+            return (lambda _: node), True
         if body.startswith("nd "):
             head, sep, fml = body.partition("::")
             if not sep:
@@ -143,31 +138,11 @@ def load_nd(text: str):
                     raise FormatError(f"bad label list in {body!r}")
                 inner = inside[1:-1].strip()
                 labels = tuple(x.strip() for x in inner.split(",")) if inner else ()
-            return ("nd", rule, labels, parse_formula(fml.strip()))
+            f = parse_formula(fml.strip())
+            return (lambda children: Inf(rule, f, tuple(children), labels)), False
         raise FormatError(f"expected 'assume' or 'nd' in {body!r}")
 
-    def build(i, depth):
-        level, body = rows[i]
-        if level != depth:
-            raise FormatError(f"bad indentation at line {i + 1}")
-        item = parse_row(body)
-        if item[0] == "assume":
-            return Assume(item[1], item[2]), i + 1
-        _, rule, labels, fml = item
-        children = []
-        j = i + 1
-        while j < len(rows) and rows[j][0] > depth:
-            if rows[j][0] == depth + 1:
-                child, j = build(j, depth + 1)
-                children.append(child)
-            else:
-                raise FormatError(f"indentation jump at line {j + 1}")
-        return Inf(rule, fml, tuple(children), labels), j
-
-    root, end = build(0, 0)
-    if end != len(rows):
-        raise FormatError("trailing nodes outside the root tree")
-    return root
+    return _read_tree(text, "system ", parse, "empty deduction file")
 
 
 # ---------------------------------------------------------------------------

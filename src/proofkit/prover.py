@@ -8,15 +8,19 @@ cached, so cached refutations always come from exhaustive subsearches.
 A sequent's derivation is built once, when it is proved, from the derivations
 already stored for its premises; a provable query only looks it up.
 
-What the calculus declares or implies picks the rest:
+The search runs in `Calculus.searched`, and what that calculus declares or
+implies picks the rest:
 
   - `structural wc-admissible` (weakening and contraction depth-preserving
     admissible): search runs on support sequents (duplicates dropped on both
     sides) and found derivations are padded back to the original multisets.
     When such a search is not terminating (no measure, or a cut pool) it
     decides by saturating the finite space of reachable support sequents.
-  - contraction rules (`Calculus.contractions`): each duplicated formula is
-    contracted at most twice per branch, a documented heuristic.
+  - weakening and contraction rules (`Calculus.structural`, the G1
+    calculi): search runs in the G3 form, decided by saturation as above,
+    and each derivation found is rewritten into the calculus's own rules
+    (contractions before a rule, weakenings above an axiom or a padded
+    premise).
 """
 
 from __future__ import annotations
@@ -42,9 +46,6 @@ class NotADisjunction(Exception):
     pass
 
 
-_CONTRACTION_CAP = 2
-
-
 class Derivation:
     """Tree of sequents; leaves are axiom instances, inner nodes rule
     applications.  `rule` is the axiom or rule name, `assignment` the
@@ -64,9 +65,6 @@ class Derivation:
 
     def depth(self) -> int:
         return 1 + max((c.depth() for c in self.children), default=0)
-
-    def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
 
     def nodes(self):
         yield self
@@ -139,10 +137,6 @@ class ProverCache:
         self.proved = {}
         self.refuted = set()
 
-    def clear(self):
-        self.proved.clear()
-        self.refuted.clear()
-
 
 def shared_cache(calc: Calculus) -> ProverCache:
     """The cache kept on calc itself, so it lives exactly as long as calc."""
@@ -164,16 +158,18 @@ class _Search:
         if cache is not None and cache.calc is not calc:
             raise ValueError(f"the cache belongs to {cache.calc.name}, not {calc.name}")
         self.calc = calc
+        self.searched = searched = calc.searched
+        # derivations found in a G3 form are rewritten into calc's rules
+        self.pad = _padded if searched is calc else self._reshaped
         self.budget = budget or SearchBudget()
         self.cache = cache if cache is not None else ProverCache(calc)
         self.cut_pool = list(dict.fromkeys(cut_pool)) if cut_pool else None
-        self.terminating = calc.termination_measure is not None and not self.cut_pool
-        self.set_reduce = calc.wc_admissible
+        self.terminating = searched.termination_measure is not None and not self.cut_pool
+        self.set_reduce = searched.wc_admissible
         # loop-checked wc-admissible search: a subformula-closed space of
         # support sequents, decided by bottom-up saturation (a least
         # fixpoint, so refutations are exhaustive and cacheable)
         self.saturate = self.set_reduce and not self.terminating
-        self.caps = calc.contractions
         self.cut_rule = cut_rule(calc.mode) if self.cut_pool else None
         self.stats = SearchStats()
         self.branch = set()
@@ -181,29 +177,24 @@ class _Search:
     # -- instance enumeration ------------------------------------------------
 
     def instances(self, s: Sequent):
-        out = match_conclusion(self.calc, s)
+        out = match_conclusion(self.searched, s)
         if self.cut_pool:
             for phi in self.cut_pool:
-                if self.calc.mode == "single":
-                    left = Sequent(s.ant, FMultiset([phi]))
-                else:
-                    left = Sequent(s.ant, s.suc.add(phi))
-                right = Sequent(s.ant.add(phi), s.suc)
                 asg = {"G": s.ant, "A": phi, "D": s.suc}
-                out.append(RuleInstance(self.cut_rule, asg, (left, right), s))
+                premises = tuple(instantiate(p, asg) for p in self.cut_rule.premises)
+                out.append(RuleInstance(self.cut_rule, asg, premises, s))
         return out
 
     # -- search --------------------------------------------------------------
 
     def solve(self, s: Sequent):
         """Return (provable, absolute); absolute means the subsearch was
-        exhaustive (no repeat hit, no cap, no depth cut)."""
+        exhaustive (no repeat hit, no depth cut)."""
         if self.set_reduce:
             s = _support(s)
         if self.saturate:
             return self._saturate(s), True
-        self._heuristic_refuted = {}
-        return self._solve(s, self.budget.max_depth, {})
+        return self._solve(s, self.budget.max_depth)
 
     def _saturate(self, root: Sequent) -> bool:
         """Decide by saturating the finite space of reachable support
@@ -228,7 +219,7 @@ class _Search:
             self.stats.nodes += 1
             if self.stats.nodes > self.budget.max_nodes:
                 raise _Budget()
-            ax = axiom_instance(self.calc, s)
+            ax = axiom_instance(self.searched, s)
             if ax is not None:
                 cache.proved[s] = self._derive(s, ax, ())
                 newly.append(s)
@@ -269,24 +260,17 @@ class _Search:
                 cache.refuted.add(s)
         return root in cache.proved
 
-    def _solve(self, s, depth_left, caps):
+    def _solve(self, s, depth_left):
         cache = self.cache
         if s in cache.proved:
             return True, True
         if s in cache.refuted:
             return False, True
-        capsig = None
-        if self.caps:
-            # heuristic per-query memo: a failure under the same contraction
-            # budget is not retried (documented G1-family approximation)
-            capsig = (s, frozenset(caps.items()))
-            if capsig in self._heuristic_refuted:
-                return False, False
         self.stats.nodes += 1
         if self.stats.nodes > self.budget.max_nodes:
             raise _Budget()
 
-        ax = axiom_instance(self.calc, s)
+        ax = axiom_instance(self.searched, s)
         if ax is not None:
             cache.proved[s] = self._derive(s, ax, ())
             return True, True
@@ -302,16 +286,6 @@ class _Search:
         seen_premises = set()
         try:
             for inst in self.instances(s):
-                name = inst.rule.name
-                new_caps = caps
-                if name in self.caps:
-                    principal = subst_pattern(self.caps[name], inst.assignment)
-                    count = caps.get((name, principal), 0)
-                    if count >= _CONTRACTION_CAP:
-                        absolute = False
-                        continue
-                    new_caps = dict(caps)
-                    new_caps[(name, principal)] = count + 1
                 if inst.premises in seen_premises:
                     continue
                 seen_premises.add(inst.premises)
@@ -321,7 +295,7 @@ class _Search:
                 for p in inst.premises:
                     if self.set_reduce:
                         p = _support(p)
-                    ok, ab = self._solve(p, depth_left - 1, new_caps)
+                    ok, ab = self._solve(p, depth_left - 1)
                     abs_all = abs_all and ab
                     if not ok:
                         ok_all = False
@@ -336,8 +310,6 @@ class _Search:
                 self.branch.discard(s)
         if absolute:
             cache.refuted.add(s)
-        elif capsig is not None:
-            self._heuristic_refuted[capsig] = True
         return False, absolute
 
     # -- derivations ---------------------------------------------------------
@@ -352,15 +324,47 @@ class _Search:
         for p, p2 in zip(inst.premises, prems):
             child = proved[p2]
             if p2 is not p:
-                child = _padded(child, p)
+                child = self.pad(child, p)
             children.append(child)
-        return Derivation(s, inst.rule.name, inst.assignment, children)
+        if self.searched is self.calc:
+            return Derivation(s, inst.rule.name, inst.assignment, children)
+        # inst is an instance of calc's G3 form: an axiom leaf becomes the
+        # bare axiom (its contexts bound to nothing) under weakenings, a rule
+        # node the rule of calc applied to a copy of its principal kept in
+        # the context binding (none for Cut), under contractions
+        rule, asg = inst.rule, dict(inst.assignment)
+        conc = rule.conclusion
+        for side, half in enumerate((conc.ant, conc.suc)):
+            if not rule.premises:
+                asg[half.ctx] = EMPTY
+            elif side == 0 or self.calc.mode == "multi":
+                kept = FMultiset(subst_pattern(pat, asg) for pat in half.pats)
+                asg[half.ctx] = asg[half.ctx].union(kept)
+        return self._reshaped(Derivation(instantiate(conc, asg), rule.name, asg, children), s)
 
     def build(self, s: Sequent) -> Derivation:
         """The stored derivation of the proved s, padded back to s."""
         target = _support(s) if self.set_reduce else s
         d = self.cache.proved[target]
-        return d if target is s else _padded(d, s)
+        return d if target is s else self.pad(d, s)
+
+    def _reshaped(self, d: Derivation, s: Sequent) -> Derivation:
+        """d under calc's contractions and weakenings that turn its
+        conclusion into s, which holds each formula of it at least once."""
+        t = d.conclusion
+        for side, (have, want) in enumerate(((t.ant, s.ant), (t.suc, s.suc))):
+            for f in have.difference(want):
+                d = self._step("C", side, f, d)
+            for f in want.difference(have):
+                d = self._step("W", side, f, d)
+        return d
+
+    def _step(self, kind, side, f: Formula, child: Derivation) -> Derivation:
+        """child under calc's weakening or contraction rule on side, with
+        principal f."""
+        rule, var = self.calc.structural[kind, side]
+        asg = next(match_metasequent(rule.premises[0], child.conclusion, {var: f}))
+        return Derivation(instantiate(rule.conclusion, asg), rule.name, asg, (child,))
 
 
 @lru_cache(maxsize=4)

@@ -77,21 +77,22 @@ def test_c01_classical_truth_table_oracle(g3cp, caches):
 def test_c02_calculus_equivalence(g3ip, g4ip, g1ip, caches):
     c4 = caches(g4ip)
     c3 = caches(g3ip)
+    c1 = caches(g1ip)
     w34 = 8 if FULL else 7
-    mismatches34 = []
+    mismatches = []
+    inexhaustive = []
     for f in corpus.formulas(("p", "q"), w34):
         s = Sequent(FMultiset(), FMultiset([f]))
-        if prove(g3ip, s, cache=c3).provable != prove(g4ip, s, cache=c4).provable:
-            mismatches34.append(f)
-    mismatches1 = []
-    for f in corpus.formulas(("p", "q"), 6):
-        s = Sequent(FMultiset(), FMultiset([f]))
-        if prove(g1ip, s).provable != prove(g4ip, s, cache=c4).provable:
-            mismatches1.append(f)
-    # a G1ip mismatch is only a blocker when G3ip and G4ip also disagree
-    report("C2 calculus-equivalence", not mismatches34 and not mismatches1,
-           f"G3ip=G4ip on weight<={w34}, G1ip agrees on weight<=6"
-           + (f"; G1ip heuristic mismatches: {mismatches1[:3]}" if mismatches1 else ""))
+        want = prove(g4ip, s, cache=c4).provable
+        r1 = prove(g1ip, s, cache=c1)
+        if prove(g3ip, s, cache=c3).provable != want or r1.provable != want:
+            mismatches.append(f)
+        if not r1.provable and not r1.exhaustive:
+            inexhaustive.append(f)
+    report("C2 calculus-equivalence", not mismatches and not inexhaustive,
+           f"G3ip=G4ip=G1ip on weight<={w34}, every G1ip refutation exhaustive"
+           + (f"; mismatches: {mismatches[:3]}" if mismatches else "")
+           + (f"; inexhaustive: {inexhaustive[:3]}" if inexhaustive else ""))
 
 
 def test_c03_named_sequents(caches):

@@ -53,6 +53,12 @@ class TestProve:
                             "=> p | ~p")
         assert code == 1
 
+    def test_g1_refutation_is_exhaustive(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "structured", "prove",
+                              "--calculus", "G1ip", "=> p | ~p")
+        assert code == 1
+        assert "status: unprovable" in out and "exhaustive: true" in out
+
     def test_check_rejects_wrong_calculus(self, capsys, tmp_path):
         target = tmp_path / "proof.drv"
         invoke(capsys, "prove", "--calculus", "g1cp", "=> p | ~p",

@@ -1,6 +1,7 @@
 """The calculus, not its name, picks the search: `structural wc-admissible`
-is declared, saturation and contraction caps follow from the rules, and
-caches answer for their own calculus only."""
+is declared, saturation and the G3 form of a calculus with weakening and
+contraction rules follow from the rules, and caches answer for their own
+calculus only."""
 
 import gc
 import weakref
@@ -10,8 +11,9 @@ import pytest
 from proofkit import corpus
 from proofkit.calculus import (BadRuleShape, _SOURCES, builtin, builtin_names,
                                from_document)
-from proofkit.prover import (ProverCache, ShapeMismatch, check_derivation,
-                             invert, prove, prove_with_cut, shared_cache)
+from proofkit.prover import (ProverCache, SearchBudget, ShapeMismatch,
+                             check_derivation, invert, prove, prove_with_cut,
+                             shared_cache, with_cut)
 from proofkit.syntax import ParseError, parse_calculus, parse_formula as pf, \
     parse_sequent as ps
 from proofkit.uniform import ipc_uniform, verify_uniform
@@ -33,18 +35,28 @@ def test_declared_and_derived_shapes():
     for name in builtin_names():
         calc = builtin(name)
         assert calc.wc_admissible == (name in ("G3cp", "G3ip")), name
-    assert sorted(builtin("G1cp").contractions) == ["LC", "RC"]
-    assert sorted(builtin("G1ip").contractions) == ["LC"]
+
+    def shapes(calc):
+        return {r.name: (kind, side, a) for (kind, side), (r, a) in calc.structural.items()}
+
+    assert shapes(builtin("G1cp")) == {"LW": ("W", 0, "A"), "RW": ("W", 1, "A"),
+                                       "LC": ("C", 0, "A"), "RC": ("C", 1, "A")}
+    assert shapes(builtin("G1ip")) == {"LW": ("W", 0, "A"), "RW": ("W", 1, "A"),
+                                       "LC": ("C", 0, "A")}
+    for name in ("G1cp", "G1ip"):
+        g3 = builtin(name).searched
+        assert g3.wc_admissible and g3.termination_measure is None, name
+        assert not {"LW", "RW", "LC", "RC"} & set(g3.rule_names()), name
     for name in ("G3cp", "G3ip", "G4ip", "G4iK", "G4iKD", "G4LL"):
-        assert builtin(name).contractions == {}, name
+        calc = builtin(name)
+        assert calc.structural == {} and calc.searched is calc, name
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_renamed_builtin_searches_identically(name):
     calc, twin = builtin(name), renamed(name)
     assert twin == calc and twin.name != calc.name
-    weight = 3 if name.startswith("G1") else 5   # the G1 search is slow
-    seqs = list(corpus.sequents(("p", "q"), weight, single=calc.mode == "single"))
+    seqs = list(corpus.sequents(("p", "q"), 5, single=calc.mode == "single"))
     if name in ("G4iK", "G4iKD"):
         seqs += [ps("=> ~[]false"), ps("[]p, [](p -> q) => []q")]
     if name == "G4LL":
@@ -68,6 +80,56 @@ def test_renamed_builtin_cut_search_identical(name):
         assert (a.status, a.exhaustive, a.stats.nodes) == \
             (b.status, b.exhaustive, b.stats.nodes), s
         assert a.derivation == b.derivation, s
+
+
+G1IP_WITH_MEASURE = _SOURCES["g1ip"].replace("mode single\n", "mode single\nmeasure weight\n")
+
+
+def test_g1_with_a_measure_is_still_saturated():
+    # the G3 form keeps each principal, so its premises need not shrink:
+    # the declared measure must not turn on memoised recursion
+    calc = user(G1IP_WITH_MEASURE)
+    assert calc.termination_measure == "weight"
+    for text in ("=> p | ~p", "p & q, p, q => r"):
+        res = prove(calc, ps(text))
+        assert res.status == "unprovable" and res.exhaustive, text
+    res = prove(calc, ps("=> ~~(p | ~p)"))
+    assert res.provable and check_derivation(calc, res.derivation) == []
+
+
+@pytest.mark.parametrize("name", ["G1cp", "G1ip"])
+def test_g1_cut_search_saturates(name):
+    calc = builtin(name)
+    for s in list(corpus.sequents(("p", "q"), 4, single=calc.mode == "single"))[:150]:
+        a, b = prove_with_cut(calc, s), prove(calc, s)
+        assert (a.status, a.exhaustive) == (b.status, True), s
+        if a.provable:
+            assert check_derivation(with_cut(calc), a.derivation) == [], s
+
+
+def test_contraction_without_weakening_searches_plainly():
+    # LC alone is no G1 calculus: no G3 form, loop-checked search, no cap
+    calc = user("""
+calculus LConly
+mode single
+axiom At : p? => p?
+rule LC : G, A => D <- G, A, A => D
+rule L& : G, A & B => D <- G, A, B => D
+""")
+    assert calc.searched is calc and list(calc.structural) == [("C", 0)]
+    for text in ("p & q => q", "p => q", "p & q, p & q => p"):
+        res = prove(calc, ps(text), SearchBudget(max_depth=30, max_nodes=20_000))
+        assert res.status == "budget" or (res.status == "unprovable"
+                                          and not res.exhaustive), text
+
+
+def test_g3_form_needs_principals_that_ride_in_contexts():
+    # R[] has no plain antecedent context, so in a G3 form it could not
+    # match p, []q => []q, which LW reduces to []q => []q
+    calc = user(_SOURCES["g1ip"] + "rule R[] : []G => []A <- G => A\n")
+    assert calc.searched is calc
+    res = prove(calc, ps("p, []q => []q"), SearchBudget(max_depth=8, max_nodes=20_000))
+    assert res.provable and check_derivation(calc, res.derivation) == []
 
 
 def test_misnamed_calculus_gets_no_support_reduction():
