@@ -129,13 +129,20 @@ class ProverCache:
     proved maps a sequent to its derivation, built once when the sequent
     is proved; a node's children are the derivations stored for its
     premises, so derivations share their subtrees.  refuted holds the
-    sequents whose searches failed exhaustively.
+    sequents whose searches failed exhaustively.  psi_representatives maps
+    (atom names, weight bound) to the formulas `uniform.verify_uniform`
+    tests minimality against: when calc has a builtin's content, and so
+    admits Cut, the first formula in corpus order of each class of
+    formulas calc proves equivalent (the first failing formula of the
+    whole corpus is always one of them); every corpus formula otherwise.
+    It is built by the first check that needs it and dies with the cache.
     """
 
     def __init__(self, calc: Calculus):
         self.calc = calc
         self.proved = {}
         self.refuted = set()
+        self.psi_representatives = {}
 
 
 def shared_cache(calc: Calculus) -> ProverCache:

@@ -15,6 +15,14 @@ stuck implication, and an implication from the antecedent's own exists
 interpolant.  The construction is validated by `verify_uniform`, never
 asserted as ground truth.
 
+`verify_uniform` tests minimality against the p-free formulas up to a
+weight bound, one per class of mutually derivable formulas: the first
+member of the class in corpus order.  Each clause is invariant under
+equivalence when Cut is admissible, so the first failing formula of the
+whole corpus is on that list and the report is unchanged; calculi without
+a builtin's content, for which Cut admissibility is not known, keep the
+whole corpus.
+
 All produced formulas are constant-folded, which keeps them inside the
 fragment the provers decide (the figures give no left rule for implications
 with a `true` antecedent).
@@ -29,7 +37,8 @@ from .core import (Formula, FMultiset, Sequent, Top, Bot, atom, atoms,
                    apply_subst, imp, conj_all, disj_all, fconj,
                    fconj_all, fdisj, fdisj_all, fimp, interpret, seq_multiply,
                    sub_multisets)
-from .calculus import builtin
+from .calculus import builtin, builtin_names
+from .corpus import formulas as corpus_formulas
 from .prover import ProverCache, prove, shared_cache
 
 
@@ -321,12 +330,48 @@ def _sub_uniform(calc, target, p, cache):
     return ipc_uniform(target, p, cache if cache.calc is builtin("G4ip") else None)
 
 
+def _psi_corpus(calc, names: tuple, psi_bound: int, cache: ProverCache, holds) -> list:
+    """The p-free formulas the minimality clauses range over: the corpus
+    over names up to psi_bound, reduced to its class representatives, the
+    first member (in corpus order) of each class of formulas that calc
+    proves mutually derivable.  Built once per (names, psi_bound) and kept
+    on the cache.
+
+    With Cut admissible every clause holds of psi exactly when it holds of
+    any formula equivalent to psi.  So the first formula of the corpus at
+    which a clause fails is the first of its class, and it is on the list
+    after no other failing formula: the report is the one the whole corpus
+    gives.  An answer other than "provable" never merges two classes, so
+    it can only lengthen the list.  Cut admissibility is known for the
+    builtins alone, so a calculus without a builtin's content (its name
+    does not count) keeps the whole corpus."""
+    key = (names, psi_bound)
+    reps = cache.psi_representatives.get(key)
+    if reps is None:
+        psis = list(corpus_formulas(names, psi_bound))
+        if any(calc == builtin(n) for n in builtin_names()):
+            reps = []
+            for psi in psis:
+                if not any(holds([psi], [r]) and holds([r], [psi]) for r in reps):
+                    reps.append(psi)
+        else:
+            reps = psis
+        cache.psi_representatives[key] = reps
+    return reps
+
+
 def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
                    cache: ProverCache | None = None) -> UniformReport:
     """Check the independent clauses, the dependent clause over all
     p-partitions, and both quantifier characterizations against every
-    p-free formula up to the given weight."""
-    from .corpus import formulas as corpus_formulas
+    p-free formula up to the given weight (at least 1).  The minimality
+    clauses visit only the first formula of each class of equivalent
+    ones: with Cut admissible, the first formula at which a clause fails
+    is such a first member, so the report is the one the whole corpus
+    gives (see _psi_corpus; calculi without a builtin's content get the
+    whole corpus)."""
+    if psi_bound < 1:
+        raise ValueError(f"psi_bound must be at least 1, got {psi_bound}")
     cache = cache or shared_cache(calc)
     p = u.atom
     multi = calc.mode == "multi"
@@ -335,6 +380,7 @@ def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
     def holds(ant, suc):
         return prove(calc, Sequent(FMultiset(ant), FMultiset(suc)), cache=cache).provable
 
+    names = tuple(sorted(atoms(u.target) - {p}))
     fa, ex = u.forall_part, u.exists_part
     if isinstance(u.target, Sequent):
         s = u.target
@@ -350,8 +396,7 @@ def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
             report.violations.append("(exists-r) fails")
         report.checked.append("exists-r")
 
-        names = sorted((atoms(s) | {p}) - {p})
-        psis = list(corpus_formulas(tuple(names), psi_bound))
+        psis = _psi_corpus(calc, names, psi_bound, cache, holds)
         for psi in psis:
             if holds(sa + [psi], ss) and not holds([psi], [fa]):
                 report.violations.append(f"(forall) minimality fails at {psi!r}")
@@ -385,9 +430,7 @@ def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
             report.violations.append("(forall) lower bound fails")
         if not holds([f], [ex]):
             report.violations.append("(exists) upper bound fails")
-        names = sorted((atoms(f) | {p}) - {p})
-        psis = list(corpus_formulas(tuple(names), psi_bound))
-        for psi in psis:
+        for psi in _psi_corpus(calc, names, psi_bound, cache, holds):
             if holds([psi], [f]) and not holds([psi], [fa]):
                 report.violations.append(f"(forall) minimality fails at {psi!r}")
                 break

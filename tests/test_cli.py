@@ -87,6 +87,13 @@ class TestUinterp:
                               "p => q")
         assert code == 0 and "forall: q" in out and "verified: true" in out
 
+    def test_psi_bound_below_one_is_usage(self, capsys):
+        code, out, err = invoke(capsys, "--format", "structured", "uinterp",
+                                "--logic", "ipc", "--atom", "p", "--verify",
+                                "--psi-bound", "0", "q, q -> p => p")
+        assert code == 2 and "psi_bound must be at least 1" in err
+        assert "verified" not in out
+
     def test_ipc_formula(self, capsys):
         code, out, _ = invoke(capsys, "--format", "structured", "uinterp",
                               "--logic", "ipc", "--atom", "p", "p | q")
