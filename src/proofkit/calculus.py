@@ -155,14 +155,18 @@ class MetaSequent:
 
 @dataclass(frozen=True)
 class RuleSchema:
-    """A rule S1 ... Sn / S; an axiom has no premises."""
+    """A rule S1 ... Sn / S; an axiom has no premises.  invertible holds the
+    indexes of the premises declared invertible (`!` after the premise):
+    each is provable whenever the conclusion is."""
 
     name: str
     premises: tuple        # tuple[MetaSequent]
     conclusion: MetaSequent
+    invertible: frozenset = frozenset()
 
     def __repr__(self):
-        prem = " ; ".join(repr(p) for p in self.premises)
+        prem = " ; ".join(repr(p) + " !" * (i in self.invertible)
+                          for i, p in enumerate(self.premises))
         return f"{self.name}: {self.conclusion!r}" + (f" <- {prem}" if prem else "")
 
 
@@ -523,9 +527,10 @@ def is_instance_finite(calc: Calculus):
 #
 # The figures' axioms are the atom axiom and left-bot; a right-top axiom is
 # added so that the constant `true`, which the formula language includes, is
-# provable.  Corpus enumeration keeps `true` out of generated formulas since
-# the G4-family has no left rule decomposing implications with a `true`
-# antecedent.
+# provable, and the G4 family gets LT-> for an implication with a `true`
+# antecedent.  A `!` after a premise declares it invertible (the inversion
+# lemmas: Troelstra & Schwichtenberg, *Basic Proof Theory*, for G3; Dyckhoff
+# 1992 for G4ip); the G1 figures carry no marks.
 
 _G1CP = """
 calculus G1cp
@@ -571,12 +576,12 @@ structural wc-admissible
 axiom At : G, p? => p?, D
 axiom Lbot : G, false => D
 axiom Rtop : G => true, D
-rule L& : G, A & B => D <- G, A, B => D
-rule R& : G => A & B, D <- G => A, D ; G => B, D
-rule L| : G, A | B => D <- G, A => D ; G, B => D
-rule R| : G => A | B, D <- G => A, B, D
-rule L-> : G, A -> B => D <- G => A, D ; G, B => D
-rule R-> : G => A -> B, D <- G, A => B, D
+rule L& : G, A & B => D <- G, A, B => D !
+rule R& : G => A & B, D <- G => A, D ! ; G => B, D !
+rule L| : G, A | B => D <- G, A => D ! ; G, B => D !
+rule R| : G => A | B, D <- G => A, B, D !
+rule L-> : G, A -> B => D <- G => A, D ! ; G, B => D !
+rule R-> : G => A -> B, D <- G, A => B, D !
 """
 
 _G3IP = """
@@ -586,26 +591,27 @@ structural wc-admissible
 axiom At : G, p? => p?
 axiom Lbot : G, false => D
 axiom Rtop : G => true
-rule L& : G, A & B => D <- G, A, B => D
-rule R& : G => A & B <- G => A ; G => B
-rule L| : G, A | B => D <- G, A => D ; G, B => D
+rule L& : G, A & B => D <- G, A, B => D !
+rule R& : G => A & B <- G => A ! ; G => B !
+rule L| : G, A | B => D <- G, A => D ! ; G, B => D !
 rule R|0 : G => A | B <- G => A
 rule R|1 : G => A | B <- G => B
-rule L-> : G, A -> B => D <- G, A -> B => A ; G, B => D
-rule R-> : G => A -> B <- G, A => B
+rule L-> : G, A -> B => D <- G, A -> B => A ; G, B => D !
+rule R-> : G => A -> B <- G, A => B !
 """
 
 _G4IP_RULES = """
-rule L& : G, A & B => D <- G, A, B => D
-rule R& : G => A & B <- G => A ; G => B
-rule L| : G, A | B => D <- G, A => D ; G, B => D
+rule L& : G, A & B => D <- G, A, B => D !
+rule R& : G => A & B <- G => A ! ; G => B !
+rule L| : G, A | B => D <- G, A => D ! ; G, B => D !
 rule R|0 : G => A | B <- G => A
 rule R|1 : G => A | B <- G => B
-rule Lp-> : G, p?, p? -> A => D <- G, p?, A => D
-rule R-> : G => A -> B <- G, A => B
-rule L&-> : G, (A & B) -> C => D <- G, A -> (B -> C) => D
-rule L|-> : G, (A | B) -> C => D <- G, A -> C, B -> C => D
-rule L->-> : G, (A -> B) -> C => D <- G, B -> C => A -> B ; G, C => D
+rule Lp-> : G, p?, p? -> A => D <- G, p?, A => D !
+rule LT-> : G, true -> A => D <- G, A => D !
+rule R-> : G => A -> B <- G, A => B !
+rule L&-> : G, (A & B) -> C => D <- G, A -> (B -> C) => D !
+rule L|-> : G, (A | B) -> C => D <- G, A -> C, B -> C => D !
+rule L->-> : G, (A -> B) -> C => D <- G, B -> C => A -> B ; G, C => D !
 """
 
 _G4_HEADER = """
@@ -619,7 +625,7 @@ axiom Rtop : G => true
 
 _G4IK_EXTRA = """
 rule R[] : P, []G => []A <- G => A
-rule L[]-> : P, []G, []A -> B => D <- G => A ; P, []G, B => D
+rule L[]-> : P, []G, []A -> B => D <- G => A ; P, []G, B => D !
 """
 
 _G4IKD_EXTRA = """
@@ -628,9 +634,9 @@ rule D[] : P, []G, []A => D <- G, A =>
 
 _G4LL_EXTRA = """
 rule RO : G => OA <- G => A
-rule LO : G, OA => OB <- G, A => OB
-rule RO-> : G, OA -> B => D <- G => A ; G, B => D
-rule LO-> : G, OC, OA -> B => D <- G, C => OA ; G, OC, B => D
+rule LO : G, OA => OB <- G, A => OB !
+rule RO-> : G, OA -> B => D <- G => A ; G, B => D !
+rule LO-> : G, OC, OA -> B => D <- G, C => OA ; G, OC, B => D !
 """
 
 
@@ -658,7 +664,8 @@ def from_document(doc) -> Calculus:
     axioms = [RuleSchema(n, (), _schema(f"axiom {n}", ms, doc))
               for n, ms in doc.axioms]
     rules = [RuleSchema(n, tuple(_schema(f"rule {n}", p, doc) for p in prems),
-                        _schema(f"rule {n}", conc, doc))
+                        _schema(f"rule {n}", conc, doc),
+                        doc.invertible.get(n, frozenset()))
              for n, prems, conc in doc.rules]
     return Calculus(doc.name, doc.sequent_mode, axioms, rules, doc.measure,
                     doc.wc_admissible)

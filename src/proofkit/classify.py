@@ -16,6 +16,7 @@ from itertools import product
 from . import core
 from .core import EMPTY, FMultiset, box, metavars, multiset_less
 from .calculus import Calculus, MetaSequent, RuleSchema, instantiate, is_instance_finite
+from .corpus import formulas
 
 RIGHT = "RightSemiAnalytic"
 LEFT = "LeftSemiAnalytic"
@@ -179,13 +180,11 @@ class TerminationReport:
         return "\n".join(lines)
 
 
-def _assignment_pool(max_weight=4):
-    """Small deterministic formula pool for instance search."""
-    from .corpus import formulas
-    return list(formulas(("p", "q"), max_weight))
+# metavariables of a rule range over the formulas over p, q up to this weight
+_POOL_WEIGHT = 3
 
 
-def check_terminating(calc: Calculus, measure=None, pool_weight=3) -> TerminationReport:
+def check_terminating(calc: Calculus, measure=None) -> TerminationReport:
     """Check the terminating-calculus conditions for calc (a calculus is
     finite data, so finiteness needs no check).
 
@@ -198,7 +197,7 @@ def check_terminating(calc: Calculus, measure=None, pool_weight=3) -> Terminatio
     """
     measure = measure or calc.termination_measure or "weight"
     inst_ok, offenders = is_instance_finite(calc)
-    pool = _assignment_pool(pool_weight)
+    pool = list(formulas(("p", "q"), _POOL_WEIGHT))
     atoms_pool = [f for f in pool if f.kind == core.ATOM]
 
     witness = None

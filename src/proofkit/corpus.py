@@ -2,9 +2,8 @@
 
 Order is canonical: ascending weight, then the structural order from
 core.Formula.sort_key.  Corpora use atoms plus `false`; `true` is left out
-because the G4-family figures give no left rule for implications with a
-`true` antecedent, so sequents containing `true` sit outside the provers'
-complete fragment.
+(the acceptance and benchmark populations, and every count quoted for them,
+are over this language).
 """
 
 from __future__ import annotations

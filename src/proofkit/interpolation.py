@@ -16,9 +16,8 @@ premise splits given in the corresponding interpolation lemma:
     interpolated with the split swapped and the result is
     (/\\ betas) -> (\\/ alphas).
 
-Connective folds drop top/bot units so that certificates stay inside the
-fragment the G4 provers decide.  Certificate derivations are found by the
-prover rather than assembled by hand.
+Connective folds drop top/bot units.  Certificate derivations are found by
+the prover rather than assembled by hand.
 """
 
 from __future__ import annotations

@@ -7,6 +7,10 @@ branch and fails on repeats; refutations computed below a repeat hit are not
 cached, so cached refutations always come from exhaustive subsearches.
 A sequent's derivation is built once, when it is proved, from the derivations
 already stored for its premises; a provable query only looks it up.
+When a premise a rule declares invertible (`RuleSchema.invertible`) fails
+exhaustively, the conclusion is refuted at once and its remaining instances
+are not tried.  Instances are still tried in `match_conclusion` order, so a
+provable sequent gets the derivation it would get without the pruning.
 
 The search runs in `Calculus.searched`, and what that calculus declares or
 implies picks the rest:
@@ -299,12 +303,17 @@ class _Search:
                 ok_all = True
                 abs_all = True
                 prems = []
-                for p in inst.premises:
+                for i, p in enumerate(inst.premises):
                     if self.set_reduce:
                         p = _support(p)
                     ok, ab = self._solve(p, depth_left - 1)
                     abs_all = abs_all and ab
                     if not ok:
+                        # an invertible premise is unprovable, so is s; with
+                        # a cut pool that would take Cut to be admissible
+                        if ab and i in inst.rule.invertible and not self.cut_pool:
+                            cache.refuted.add(s)
+                            return False, True
                         ok_all = False
                         absolute = absolute and ab
                         break
@@ -581,47 +590,23 @@ def min_depth(calc: Calculus, s: Sequent, memo=None):
 
 
 # ---------------------------------------------------------------------------
-# inversion (Lemma clauses for G3cp / G3ip)
+# inversion
 
 def invert(calc: Calculus, s: Sequent, side: str, principal: Formula):
-    """Premises guaranteed provable by the inversion lemma when s is
-    provable and has the given principal formula on the given side; calc
-    must have the content of G3cp or G3ip, whatever its name."""
-    if calc != builtin("G3cp") and calc != builtin("G3ip"):
-        raise ShapeMismatch(f"inversion clauses cover G3cp/G3ip, not {calc.name}")
-    single = calc.mode == "single"
-    if side == "left":
-        if principal not in s.ant:
-            raise ShapeMismatch(f"{principal!r} not in the antecedent")
-        rest = s.ant.remove(principal)
-        k = principal.kind
-        if k == core.AND:
-            return [Sequent(rest.add(principal.a, principal.b), s.suc)]
-        if k == core.OR:
-            return [Sequent(rest.add(principal.a), s.suc),
-                    Sequent(rest.add(principal.b), s.suc)]
-        if k == core.IMP:
-            if single:
-                return [Sequent(rest.add(principal.b), s.suc)]
-            return [Sequent(rest, s.suc.add(principal.a)),
-                    Sequent(rest.add(principal.b), s.suc)]
-        raise ShapeMismatch(f"no left inversion clause for {principal!r}")
-    if side == "right":
-        if principal not in s.suc:
-            raise ShapeMismatch(f"{principal!r} not in the succedent")
-        rest = s.suc.remove(principal)
-        k = principal.kind
-        if k == core.AND:
-            return [Sequent(s.ant, rest.add(principal.a)),
-                    Sequent(s.ant, rest.add(principal.b))]
-        if k == core.OR:
-            if single:
-                raise ShapeMismatch("no right disjunction inversion in G3ip")
-            return [Sequent(s.ant, rest.add(principal.a, principal.b))]
-        if k == core.IMP:
-            return [Sequent(s.ant.add(principal.a), rest.add(principal.b))]
-        raise ShapeMismatch(f"no right inversion clause for {principal!r}")
-    raise ShapeMismatch(f"side must be 'left' or 'right', got {side!r}")
+    """The premises marked invertible of the first instance, in
+    `match_conclusion` order, of a rule with marks whose conclusion places
+    principal on side ("left" or "right") of s: each is provable whenever s
+    is.  ShapeMismatch when there is no such instance."""
+    if side not in ("left", "right"):
+        raise ShapeMismatch(f"side must be 'left' or 'right', got {side!r}")
+    for inst in match_conclusion(calc, s):
+        rule = inst.rule
+        pats = (rule.conclusion.ant if side == "left" else rule.conclusion.suc).pats
+        if rule.invertible and any(subst_pattern(p, inst.assignment) is principal
+                                   for p in pats):
+            return [inst.premises[i] for i in sorted(rule.invertible)]
+    raise ShapeMismatch(f"no invertible rule of {calc.name} has {principal!r} "
+                        f"as a {side} principal of {s!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ for ``a -> false``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import core
 from .core import (Formula, FMultiset, Sequent, atom, ameta, fmeta, conj,
@@ -301,6 +301,8 @@ class CalculusDoc:
     axioms: list                      # [(name, metasequent)]
     rules: list                       # [(name, [premise ms], conclusion ms)]
     wc_admissible: bool = False       # `structural wc-admissible` declared
+    # rule name -> indexes of the premises marked invertible (a trailing `!`)
+    invertible: dict = field(default_factory=dict)
 
 
 def parse_calculus(text: str) -> CalculusDoc:
@@ -310,6 +312,7 @@ def parse_calculus(text: str) -> CalculusDoc:
     wc_admissible = False
     axioms = []
     rules = []
+    invertible = {}
     seen = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -352,15 +355,16 @@ def parse_calculus(text: str) -> CalculusDoc:
                     raise ParseError(f"rule {rname!r} lacks '<-' on line {lineno}",
                                      SourceSpan(0, len(raw)), raw)
                 conclusion = parse_metasequent(conc_text.strip())
-                premises = [parse_metasequent(t.strip())
-                            for t in prem_text.split(";") if t.strip()]
-                if not premises:
+                texts = [t.strip() for t in prem_text.split(";") if t.strip()]
+                if not texts:
                     raise ParseError(f"rule {rname!r} has no premises; use an axiom",
                                      SourceSpan(0, len(raw)), raw)
+                invertible[rname] = frozenset(i for i, t in enumerate(texts) if t.endswith("!"))
+                premises = [parse_metasequent(t.removesuffix("!")) for t in texts]
                 rules.append((rname, premises, conclusion))
         else:
             raise ParseError(f"unknown directive {head!r} on line {lineno}",
                              SourceSpan(0, len(raw)), raw)
     if name is None:
         raise ParseError("missing 'calculus NAME' header", SourceSpan(0, 0), text[:40])
-    return CalculusDoc(name, mode, measure, axioms, rules, wc_admissible)
+    return CalculusDoc(name, mode, measure, axioms, rules, wc_admissible, invertible)

@@ -23,9 +23,7 @@ whole corpus is on that list and the report is unchanged; calculi without
 a builtin's content, for which Cut admissibility is not known, keep the
 whole corpus.
 
-All produced formulas are constant-folded, which keeps them inside the
-fragment the provers decide (the figures give no left rule for implications
-with a `true` antecedent).
+All produced formulas are constant-folded.
 """
 
 from __future__ import annotations

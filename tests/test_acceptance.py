@@ -270,7 +270,7 @@ def test_c09_classifier_and_termination_golden(g3ip, g4ip):
     base = {"L&": LEFT, "R&": RIGHT, "L|": LEFT, "R|0": RIGHT, "R|1": RIGHT,
             "R->": RIGHT}
     want3 = dict(base, **{"L->": LEFT_CS})
-    want4 = dict(base, **{"Lp->": NOT, "L&->": LEFT, "L|->": LEFT,
+    want4 = dict(base, **{"Lp->": NOT, "LT->": LEFT, "L&->": LEFT, "L|->": LEFT,
                           "L->->": LEFT_CS})
     ok = got3 == want3 and got4 == want4
     for calc in (g3ip, g4ip):

@@ -19,7 +19,8 @@ G3IP_TABLE = {
 }
 G4IP_TABLE = {
     "L&": LEFT, "R&": RIGHT, "L|": LEFT, "R|0": RIGHT, "R|1": RIGHT,
-    "R->": RIGHT, "Lp->": NOT, "L&->": LEFT, "L|->": LEFT, "L->->": LEFT_CS,
+    "R->": RIGHT, "Lp->": NOT, "LT->": LEFT, "L&->": LEFT, "L|->": LEFT,
+    "L->->": LEFT_CS,
 }
 
 

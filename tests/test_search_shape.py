@@ -208,11 +208,10 @@ def test_shared_cache_lives_on_the_calculus():
     assert ref() is None
 
 
-def test_invert_follows_content_not_name(g4ip):
+def test_invert_follows_content_not_name():
+    # G3cp's R| is declared invertible, G4ip's R|0 and R|1 are not
     twin = renamed("G3cp", "Classical")
-    assert invert(twin, ps("r, p & q => s"), "left", pf("p & q")) == [ps("r, p, q => s")]
+    assert invert(twin, ps("=> p | q"), "right", pf("p | q")) == [ps("=> p, q")]
+    g4ip_named_g3cp = renamed("G4ip", "G3cp")
     with pytest.raises(ShapeMismatch):
-        invert(g4ip, ps("r, p & q => s"), "left", pf("p & q"))
-    g3cp_named_g4ip = renamed("G4ip", "G3cp")
-    with pytest.raises(ShapeMismatch):
-        invert(g3cp_named_g4ip, ps("r, p & q => s"), "left", pf("p & q"))
+        invert(g4ip_named_g3cp, ps("=> p | q"), "right", pf("p | q"))
