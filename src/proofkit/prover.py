@@ -68,12 +68,21 @@ class Derivation:
         return not self.children
 
     def depth(self) -> int:
-        return 1 + max((c.depth() for c in self.children), default=0)
+        """Iterative, as is nodes(): a derivation may outgrow the stack."""
+        best, stack = 0, [(self, 1)]
+        while stack:
+            node, d = stack.pop()
+            best = max(best, d)
+            stack.extend((c, d + 1) for c in node.children)
+        return best
 
     def nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.nodes()
+        """Every node, in pre-order."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def __eq__(self, other):
         return (isinstance(other, Derivation)

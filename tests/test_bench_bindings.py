@@ -54,3 +54,25 @@ def test_traced_queries_restore_every_binding(monkeypatch):
         assert metrics[name] > 0, name
     # the tracer counts a hit for every result that is not None
     assert 0 < metrics["calculus.axiom_hit_ratio"] < 1
+
+
+def test_traced_wide_prove_counts_matching(monkeypatch):
+    """_instances hands match_metasequent the sequent's shape codes; the
+    call must still go through the module binding the tracer wraps."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    g4 = builtin("G4ip")
+    names = [f"a{i}" for i in range(60)]
+    text = ", ".join([names[0]] + [f"{x} -> {y}" for x, y in zip(names, names[1:])])
+    tracer = Tracer()
+    tracer.install()
+    try:
+        res = prover.prove(g4, syntax.parse_sequent(f"{text} => {names[-1]}"),
+                           cache=prover.ProverCache(g4))
+    finally:
+        tracer.uninstall()
+    assert res.provable
+    metrics = tracer.layer_metrics()
+    assert metrics["calculus.match_conclusion_calls"] >= len(names) - 1
+    assert metrics["calculus.match_metasequent_calls"] >= metrics["calculus.match_conclusion_calls"]

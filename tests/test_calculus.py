@@ -1,6 +1,8 @@
+import random
+
 import pytest
 
-from proofkit import core, corpus
+from proofkit import calculus, core, corpus, prover
 from proofkit.core import FMultiset, atom, conj, disj, imp, box
 from proofkit.calculus import (BadRuleShape, UnknownCalculus, builtin,
                                builtin_names, match_conclusion,
@@ -209,6 +211,100 @@ class TestMatchParity:
                                 list(reference_match(prem, inst, prior)), (prem, inst)
         assert matched == set(calc.rule_names())
         assert {"Three", "Boxed", "Pair"} <= repeated
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA) + ["Parity"])
+    def test_wide_sequents(self, name):
+        calc = (from_document(parse_calculus(PARITY_USER)) if name == "Parity"
+                else builtin(name))
+        modal = PARITY_CORPORA.get(name, (None, "box"))[1]
+        matched = set()
+        for seed in range(4):
+            s = wide_sequent(seed, modal, calc.mode == "single")
+            for rule in calc.axioms + calc.rules:
+                want = list(reference_match(rule.conclusion, s))
+                assert list(match_metasequent(rule.conclusion, s)) == want, (rule.name, seed)
+                if want:
+                    matched.add(rule.name)
+        # every rule whose principal the sequents hold was tried on a match
+        for rule in ("Lp->", "LT->", "L&->", "L|->", "L->->", "L[]->", "LO->", "Three",
+                     "Shared", "Boxed", "L->"):
+            assert rule not in calc.rule_names() or rule in matched, rule
+
+
+def wide_sequent(seed, modal, single):
+    """A seeded sequent with an antecedent of 30-80 formulas: small random
+    formulas over p, q, r, the constants and the modality, plus
+    implications whose antecedent is an atom absent (a0), present once
+    (a1), present twice (a2) or absent but for the succedent (a3, the
+    succedent of every multi-conclusion and even-seeded single-conclusion
+    sequent), `true`, a conjunction, a disjunction or an implication, and,
+    when modal, boxed or circled formulas.  `_place` scans the shape codes
+    of the antecedent and passes over the narrower succedent."""
+    rng = random.Random(seed)
+    wrap = {"box": box, "circle": core.circle}.get(modal)
+    makers = [conj, disj, imp] + ([lambda f, g: wrap(f)] if wrap else [])
+
+    def formula(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice((p, q, r, core.Top, core.Bot))
+        return rng.choice(makers)(formula(depth - 1), formula(depth - 1))
+
+    a = [atom(f"a{i}") for i in range(4)]
+    ant = [imp(x, formula(1)) for x in a + a] + [a[1], a[2], a[2], p, imp(a[1], p)]
+    ant += [imp(core.Top, formula(1)), imp(conj(formula(1), formula(1)), formula(1)),
+            imp(disj(formula(1), formula(1)), formula(1)),
+            imp(imp(formula(1), formula(1)), formula(1))]
+    if wrap:
+        ant += [wrap(p), wrap(formula(1)), imp(wrap(formula(1)), formula(1))]
+    ant += [formula(2) for _ in range(rng.randrange(30, 78) - len(ant))]
+    ant += rng.sample(ant, 3)   # repeated occurrences
+    if single:
+        suc = [a[3] if seed % 2 == 0 else wrap(q) if wrap else p]
+    else:
+        suc = [a[3], p, formula(2), formula(2)] + ([wrap(q)] if wrap else [])
+    return core.Sequent(FMultiset(ant), FMultiset(suc))
+
+
+class TestShapeCodes:
+    def test_layout(self):
+        for modal in ("box", "circle"):
+            list(corpus.formulas(("p", "q"), 5, modal=modal))
+        for calc in map(builtin, builtin_names()):
+            for rule in calc.axioms + calc.rules:
+                rule.conclusion.plan   # the patterns' formulas are interned too
+        shared = {}
+        for f in list(core._intern.values()):
+            assert len(f.code) == 2 and f.code[0] < 16 <= f.code[1], f
+            child = f.a.kind if f.kind in core.BINARY + core.UNARY else None
+            assert shared.setdefault((f.kind, child), f.code) is f.code, f
+        assert len(set(map(id, shared.values()))) == len(shared) > 40
+
+    def test_scan_finds_exactly_the_shape(self):
+        row = wide_sequent(0, "box", False).ant.items
+        code = b"".join(f.code for f in row)
+        keys = {f.code[:n] for f in row for n in (1, 2)}
+        for key in keys:
+            want = [(i, f) for i, f in enumerate(row) if f.code.startswith(key)]
+            assert list(calculus._hits(code, key, row)) == want, key
+
+    def test_wide_chain_work_count(self, g4ip, monkeypatch):
+        """Matching on the 200-formula chain `a0, a0 -> a1, ... => a199`
+        tries a pattern on the few occurrences that can take it, not on
+        every implication at every node."""
+        n = 200
+        a = [atom(f"a{i}") for i in range(n)]
+        s = core.sequent([a[0]] + [imp(x, y) for x, y in zip(a, a[1:])], [a[-1]])
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return match_formula(*args)
+
+        monkeypatch.setattr(calculus, "match_formula", counting)
+        res = prover.prove(g4ip, s, cache=prover.ProverCache(g4ip))
+        assert res.provable and res.stats.nodes == n
+        assert calls < 10 * n, calls
 
 
 def reference_instantiate(ms, asg):

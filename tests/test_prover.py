@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -52,6 +53,27 @@ def peirce_derivation():
     leaf2 = Derivation(ps("p => p"), "At")
     limp = Derivation(ps("(p -> q) -> p => p"), "L->", None, [rimp, leaf2])
     return Derivation(ps("=> ((p -> q) -> p) -> p"), "R->", None, [limp])
+
+
+class TestDerivationTraversal:
+    def test_depth_and_nodes_beyond_the_recursion_limit(self):
+        s = ps("p => p")
+        d = Derivation(s, "At")
+        for _ in range(4_999):
+            d = Derivation(s, "R", None, [d])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert d.depth() == 5_000
+            nodes = list(d.nodes())
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(nodes) == 5_000 and nodes[0] is d and nodes[-1].rule == "At"
+
+    def test_nodes_in_pre_order(self):
+        d = peirce_derivation()
+        assert [n.rule for n in d.nodes()] == ["R->", "L->", "R->", "RW", "At", "At"]
+        assert d.depth() == 5 and lem_derivation().depth() == 4
 
 
 class TestCheckDerivation:
