@@ -12,22 +12,20 @@ axiom or a rule closes a sequent.
 
 Matching (`match_metasequent`) finds every instance of a schema sequent in
 a sequent.  `match_conclusion` and `axiom_instance` share one loop
-(`_instances`), which first skips any schema with a side that needs a
-top-level kind the sequent side lacks (`Side.kinds`: an atom for p?,
-nothing for A).  Within a schema the formula patterns of both sides are
-placed first, most specific first (`MetaSequent.plan`: p? -> A before p?, a
-metavariable already bound found by its occurrences), and the remainder,
-the boxed binding and the context binding are built once per complete
-placement.  A pattern's candidates on a wide side are found at C speed:
-`bytes.find` of its shape key (kind, first child's kind: `core._SHAPES`)
-in the side's shape codes, joined once per `_instances` call.  A
-pattern whose first child a bare pattern on the same side also takes (G4
-`Lp->`: p?, p? -> A) skips a candidate whose child is not on the side.
-The instance order is nevertheless the one of trying the patterns in
-written order, antecedent first, each on every remaining occurrence in
-canonical position order: placements are re-sorted into that order when
-the plan differs from it.  So `match_conclusion` lists instances in rule
-order, then principal-occurrence order, with the same assignments.
+(`_instances`), which first skips any schema
+with a side that needs a top-level kind the sequent side lacks (`Side.kinds`:
+an atom for p?, nothing for A).  Within a schema the formula patterns of
+both sides are placed first, most specific first (`MetaSequent.plan`: p? -> A
+before p?, a metavariable already bound found by its occurrences), and the
+remainder, the boxed binding and the context binding are built once per
+complete placement.  A pattern whose first child a bare pattern on the same
+side also takes (G4 `Lp->`: p?, p? -> A) skips, before any `match_formula`,
+an occurrence whose child is not a member of that side.  The instance order
+is nevertheless the one of trying the patterns in written order, antecedent
+first, each on every remaining occurrence in canonical position order:
+placements are re-sorted into that order when the plan differs from it.  So
+`match_conclusion` lists instances in rule order, then principal-occurrence
+order, with the same assignments.
 
 All built-in rules are additive: contexts are repeated verbatim across
 premises, so matching a conclusion never splits a context between two plain
@@ -121,16 +119,15 @@ class MetaSequent:
     def plan(self):
         """The order in which matching places the formula patterns, and
         whether it differs from written order.  One entry per pattern:
-        (slot, side, pattern, its name if a bare metavariable, the shape-code
-        key of the occurrences it can take and the set of codes that start
-        with it (both None: any), whether its first child is a metavariable
-        that a bare pattern on the same side also takes, earlier slots on
-        the same side); slots number the antecedent patterns, then the
-        succedent ones, in written order.  Most specific first: patterns
-        with a connective or constant at the top (which bind the bare
-        metavariables placed after them), then p?, then A; ties go to the
-        succedent (one formula wide in single-conclusion calculi), then to
-        written order."""
+        (slot, side, pattern, its name if a bare metavariable, the kind an
+        occurrence needs, the kind its first child needs, whether that child
+        is a metavariable that a bare pattern on the same side also takes,
+        earlier slots on the same side); slots number the antecedent
+        patterns, then the succedent ones, in written order.  Most specific
+        first: patterns with a connective or constant at the top (which bind
+        the bare metavariables placed after them), then p?, then A; ties go
+        to the succedent (one formula wide in single-conclusion calculi),
+        then to written order."""
         na = len(self.ant.pats)
         pats = [(i, 0, p) for i, p in enumerate(self.ant.pats)]
         pats += [(na + i, 1, p) for i, p in enumerate(self.suc.pats)]
@@ -140,13 +137,11 @@ class MetaSequent:
         for slot, side, p in pats:
             var = p.a if p.kind in (core.AMETA, core.FMETA) else None
             child = p.a if p.kind in core.BINARY + core.UNARY else None
-            need, inner = _need(p), child and _need(child)
-            key = need and core._SHAPES[need, inner][:2 if inner else 1]
-            ok = key and frozenset(c for c in core._SHAPES.values() if c.startswith(key))
+            inner = _need(child) if child is not None else None
             shared = (child is not None and child.kind in (core.AMETA, core.FMETA)
                       and child in (self.ant, self.suc)[side].pats)
             others = tuple(e[0] for e in plan if e[1] == side)
-            plan.append((slot, side, p, var, key, ok, shared, others))
+            plan.append((slot, side, p, var, _need(p), inner, shared, others))
         order = [e[0] for e in plan]
         return tuple(plan), order != sorted(order)
 
@@ -364,77 +359,49 @@ def subst_pattern(pat: Formula, asg) -> Formula:
     return core._mk(k, subst_pattern(pat.a, asg), subst_pattern(pat.b, asg))
 
 
-def _place(plan, rows, j, asg, pos, out, memo):
+def _place(plan, rows, j, asg, pos, out, members):
     """Append to out every placement of the patterns plan[j:] on distinct
     occurrences, as (positions in slot order, assignment), in plan order.
-    pos holds the positions placed so far; memo holds the ids of each
-    side's members, then each side's joined shape codes, each built once
-    needed.  An unbound pattern's candidates are found by `bytes.find` of
-    its shape key in the codes (on a side narrower than _SCAN_FROM, by a
-    pass); one whose first child a bare pattern on the same side must also
-    take is dropped unless that child is a member.  A module function
-    rather than a closure that calls itself: such a closure is a reference
-    cycle per call, and collecting those made search on small sequents a
-    quarter slower."""
+    pos holds the positions placed so far, members per side the ids of its
+    members once a bound metavariable or a shared child (`MetaSequent.plan`)
+    needs them: an occurrence whose shared child is not a member cannot
+    take the pattern, so it is skipped before `match_formula`.  A module
+    function rather than a closure that calls itself: such a closure is a
+    reference cycle per call, and collecting those made search on small
+    sequents a quarter slower."""
     if j == len(plan):
         out.append((tuple(pos), asg))
         return
-    slot, side, pat, var, key, ok, shared, others = plan[j]
+    slot, side, pat, var, need, inner, shared, others = plan[j]
     row = rows[side]
     f = asg.get(var) if var is not None else None
+    if f is not None or shared:
+        ids = members[side]
+        if ids is None:
+            ids = members[side] = set(map(id, row))
     if f is not None:
         # a bound metavariable takes its own occurrences, nothing else;
         # equal members are adjacent in the canonical order
-        ids = memo[side]
-        if ids is None:
-            ids = memo[side] = set(map(id, row))
         if id(f) in ids:
             i = row.index(f)
             while i < len(row) and row[i] is f:
                 if not (others and any(pos[t] == i for t in others)):
                     pos[slot] = i
-                    _place(plan, rows, j + 1, asg, pos, out, memo)
+                    _place(plan, rows, j + 1, asg, pos, out, members)
                 i += 1
         return
-    if key is None or len(row) < _SCAN_FROM:
-        hits = enumerate(row)
-    else:
-        code = memo[side + 2]
-        if code is None:
-            code = memo[side + 2] = b"".join(map(_code, row))
-        hits = _hits(code, key, row)
-    for i, g in hits:
-        if ok and g.code not in ok:
+    for i, g in enumerate(row):
+        if need is not None and (g.kind != need
+                                 or inner is not None and g.a.kind != inner):
             continue
-        if shared:
-            ids = memo[side]
-            if ids is None:
-                ids = memo[side] = set(map(id, row))
-            if id(g.a) not in ids:
-                continue
+        if shared and id(g.a) not in ids:
+            continue
         if others and any(pos[t] == i for t in others):
             continue
         asg2 = match_formula(pat, g, asg)
         if asg2 is not None:
             pos[slot] = i
-            _place(plan, rows, j + 1, asg2, pos, out, memo)
-
-
-# Below this width a pass over the members beats joining and scanning their
-# codes: scanning every side made G4ip search on `=> ~~phi` about 4% slower.
-_SCAN_FROM = 8
-
-
-def _hits(code, key, row):
-    """(position, member) for the members whose shape code starts with
-    key, in ascending position."""
-    i = code.find(key)
-    while i >= 0:
-        yield i >> 1, row[i >> 1]
-        i = code.find(key, i + 2)
-
-
-_code = attrgetter("code")
+            _place(plan, rows, j + 1, asg2, pos, out, members)
 
 
 def _bind_contexts(side: Side, ms: FMultiset, taken, asg):
@@ -473,17 +440,16 @@ def _bind_contexts(side: Side, ms: FMultiset, taken, asg):
     return asg if ms == bound else None
 
 
-def match_metasequent(ms: MetaSequent, s: Sequent, asg=None, memo=None):
+def match_metasequent(ms: MetaSequent, s: Sequent, asg=None):
     """Yield every assignment under which ms instantiates to s, in the order
     of the occurrences the patterns take: antecedent patterns in written
     order, then succedent ones, each choice tried in canonical position
     order.  Patterns are placed first (`MetaSequent.plan`), contexts bound
-    once per complete placement.  memo (`_place`) is shared by the matches
-    of one `_instances` call."""
+    once per complete placement."""
     plan, resort = ms.plan
     placed = []
     _place(plan, (s.ant.items, s.suc.items), 0, {} if asg is None else asg,
-           [None] * len(plan), placed, memo or [None] * 4)
+           [None] * len(plan), placed, [None, None])
     if resort and len(placed) > 1:
         placed.sort(key=itemgetter(0))
     na = len(ms.ant.pats)
@@ -519,11 +485,11 @@ def instantiate(ms: MetaSequent, asg) -> Sequent:
 def _instances(schemas, s: Sequent):
     """Yield the instances of schemas whose conclusion is s: schema order,
     then principal-occurrence order."""
-    kinds, memo = _kinds(s), [None] * 4
+    kinds = _kinds(s)
     for rule in schemas:
         if not rule.conclusion.admits(kinds):
             continue
-        for asg in match_metasequent(rule.conclusion, s, None, memo):
+        for asg in match_metasequent(rule.conclusion, s):
             try:
                 premises = tuple(instantiate(p, asg) for p in rule.premises)
             except KeyError:

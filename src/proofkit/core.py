@@ -37,11 +37,10 @@ class Formula:
     """One node of a formula tree.
 
     `kind` is one of the module-level tags; `a` holds the atom name or the
-    left/inner child, `b` the right child (binary kinds only); `code` is the
-    shape code that `_mk` sets (see `_SHAPES`).
+    left/inner child, `b` the right child (binary kinds only).
     """
 
-    __slots__ = ("kind", "a", "b", "code", "_weight", "_degree", "_atoms", "_key")
+    __slots__ = ("kind", "a", "b", "_weight", "_degree", "_atoms", "_key")
 
     def __init__(self, kind, a=None, b=None):
         self.kind = kind
@@ -89,20 +88,12 @@ class Formula:
 
 _intern: dict = {}
 
-# The shape code of every formula of a (kind, first child's kind): a kind
-# byte below 16, then a child byte of 16 or above (31: no child).  As the
-# ranges are disjoint, a kind or (kind, child kind) key found in the joined
-# codes of a multiset starts at an even offset, twice the member's position.
-_KIND_BYTE = {k: i for i, k in enumerate(_KIND_RANK)}
-_SHAPES = {(k, c): bytes((i, 16 + _KIND_BYTE.get(c, 15)))
-           for k, i in _KIND_BYTE.items() for c in (*_KIND_BYTE, None)}
 
 def _mk(kind, a=None, b=None) -> Formula:
     key = (kind, a, b)
     f = _intern.get(key)
     if f is None:
         f = Formula(kind, a, b)
-        f.code = _SHAPES[kind, a.kind if kind in BINARY or kind in UNARY else None]
         _intern[key] = f
     return f
 

@@ -57,8 +57,9 @@ def test_traced_queries_restore_every_binding(monkeypatch):
 
 
 def test_traced_wide_prove_counts_matching(monkeypatch):
-    """_instances hands match_metasequent the sequent's shape codes; the
-    call must still go through the module binding the tracer wraps."""
+    """A G4ip prove of a wide chain, where the shared-child filter skips
+    most left implications, still matches through the module bindings the
+    tracer wraps."""
     monkeypatch.syspath_prepend(str(BENCH))
     from tracing import Tracer
 

@@ -238,8 +238,7 @@ def wide_sequent(seed, modal, single):
     (a1), present twice (a2) or absent but for the succedent (a3, the
     succedent of every multi-conclusion and even-seeded single-conclusion
     sequent), `true`, a conjunction, a disjunction or an implication, and,
-    when modal, boxed or circled formulas.  `_place` scans the shape codes
-    of the antecedent and passes over the narrower succedent."""
+    when modal, boxed or circled formulas."""
     rng = random.Random(seed)
     wrap = {"box": box, "circle": core.circle}.get(modal)
     makers = [conj, disj, imp] + ([lambda f, g: wrap(f)] if wrap else [])
@@ -265,28 +264,7 @@ def wide_sequent(seed, modal, single):
     return core.Sequent(FMultiset(ant), FMultiset(suc))
 
 
-class TestShapeCodes:
-    def test_layout(self):
-        for modal in ("box", "circle"):
-            list(corpus.formulas(("p", "q"), 5, modal=modal))
-        for calc in map(builtin, builtin_names()):
-            for rule in calc.axioms + calc.rules:
-                rule.conclusion.plan   # the patterns' formulas are interned too
-        shared = {}
-        for f in list(core._intern.values()):
-            assert len(f.code) == 2 and f.code[0] < 16 <= f.code[1], f
-            child = f.a.kind if f.kind in core.BINARY + core.UNARY else None
-            assert shared.setdefault((f.kind, child), f.code) is f.code, f
-        assert len(set(map(id, shared.values()))) == len(shared) > 40
-
-    def test_scan_finds_exactly_the_shape(self):
-        row = wide_sequent(0, "box", False).ant.items
-        code = b"".join(f.code for f in row)
-        keys = {f.code[:n] for f in row for n in (1, 2)}
-        for key in keys:
-            want = [(i, f) for i, f in enumerate(row) if f.code.startswith(key)]
-            assert list(calculus._hits(code, key, row)) == want, key
-
+class TestMatchWork:
     def test_wide_chain_work_count(self, g4ip, monkeypatch):
         """Matching on the 200-formula chain `a0, a0 -> a1, ... => a199`
         tries a pattern on the few occurrences that can take it, not on
