@@ -70,6 +70,11 @@ def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
     ax = axiom_instance(calc, s)
     if ax is None:
         raise NotAnAxiom(repr(s))
+    return _axiom_table(split, ax.rule, ax.assignment)
+
+
+def _axiom_table(split: SplitAnt, axiom: RuleSchema, asg) -> Formula:
+    """The interpolant of the split conclusion of axiom under asg."""
     gamma, pi, delta = split.gamma, split.pi, split.delta
     if Bot in pi:
         return Top
@@ -85,8 +90,8 @@ def axiom_interpolant(calc: Calculus, split: SplitAnt) -> Formula:
         return Top
     # generic focused axiom: the witness formulas share one variable set, so
     # the conjunction of those landing on the G side is in the common language
-    ms = ax.rule.conclusion
-    witnesses = (subst_pattern(p, ax.assignment) for p in ms.ant.pats + ms.suc.pats)
+    ms = axiom.conclusion
+    witnesses = (subst_pattern(p, asg) for p in ms.ant.pats + ms.suc.pats)
     return fconj_all(f for f in witnesses if f in gamma)
 
 
@@ -129,7 +134,12 @@ class _Extractor:
 
     def run(self, node: Derivation, gamma: FMultiset) -> Formula:
         if node.is_leaf:
-            return axiom_interpolant(self.calc, _split_of(node, gamma))
+            split = _split_of(node, gamma)
+            if node.assignment is None:       # e.g. loaded from a .drv file
+                return axiom_interpolant(self.calc, split)
+            # the checked leaf already names its axiom and its witness
+            axiom = next(a for a in self.calc.axioms if a.name == node.rule)
+            return _axiom_table(split, axiom, node.assignment)
         rule, lp, kind = self._shape(node.rule)
         if lp:
             return self._lp_imp(node, gamma, *lp)
@@ -190,7 +200,13 @@ class _Extractor:
 
 def craig_interpolate(problem: InterpolationProblem,
                       cache: ProverCache | None = None) -> InterpolantCertificate:
-    """Extract an interpolant and prover-found certificate derivations."""
+    """Extract an interpolant and prover-found certificate derivations.
+
+    The input derivation is checked first (`check_derivation`); the check
+    marks its nodes, so the other partitions of the same derivation do not
+    walk it again.  Its leaves are then read as checked: a leaf with a
+    stored assignment takes its interpolant from its own axiom and
+    assignment, one without from `axiom_interpolant`."""
     calc = problem.calculus
     cache = cache or shared_cache(calc)
     defects = check_derivation(calc, problem.derivation)

@@ -50,18 +50,36 @@ class NotADisjunction(Exception):
     pass
 
 
+_set = object.__setattr__
+
+
 class Derivation:
     """Tree of sequents; leaves are axiom instances, inner nodes rule
     applications.  `rule` is the axiom or rule name, `assignment` the
-    metavariable assignment that justifies the node."""
+    metavariable assignment that justifies the node (a witness, read-only:
+    copy it to derive another node), None when the checker must find one.
 
-    __slots__ = ("conclusion", "rule", "assignment", "children")
+    A node is immutable: assigning an attribute after `__init__` raises
+    AttributeError.  Its conclusion, rule and children decide whether it is
+    a correct inference, so a verdict on a node holds for good.
+    `check_derivation` records one in `checked`: the calculus object it
+    last checked the whole subtree against without a defect, None until
+    then."""
+
+    __slots__ = ("conclusion", "rule", "assignment", "children", "checked")
 
     def __init__(self, conclusion, rule, assignment=None, children=()):
-        self.conclusion = conclusion
-        self.rule = rule
-        self.assignment = assignment
-        self.children = tuple(children)
+        _set(self, "conclusion", conclusion)
+        _set(self, "rule", rule)
+        _set(self, "assignment", assignment)
+        _set(self, "children", tuple(children))
+        _set(self, "checked", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Derivation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Derivation is immutable; cannot delete {name!r}")
 
     @property
     def is_leaf(self):
@@ -517,11 +535,32 @@ def split_disjunction(logic: str, f: Formula):
 
 def check_derivation(calc: Calculus, d: Derivation):
     """Validate every node of d against calc; returns a list of
-    (path, message) defects, empty when the derivation is correct."""
-    defects = []
+    (path, message) defects in pre-order, empty when the derivation is
+    correct.
 
-    def walk(node, path):
-        if calc.mode == "single" and not node.conclusion.is_single_conclusion():
+    A subtree whose root is marked checked against calc (`Derivation.checked`
+    is calc itself) is skipped: it was walked before and had no defect.
+    After a walk of a subtree adds no defect its root is marked, so a node
+    shared between derivations is checked once per calculus object, and a
+    node is never marked while any node of its subtree is faulty.
+    Nodes made by `pad_derivation` or loaded from a `.drv` file are new and
+    unmarked, so they are checked in full.  The walk is iterative, so depth
+    is bounded by memory, not by the recursion limit."""
+    defects = []
+    single = calc.mode == "single"
+    # entries (node, path, None) to check; (node, None, n) to mark node
+    # when its subtree has left the defect count at n
+    stack = [(d, (), None)]
+    while stack:
+        node, path, seen = stack.pop()
+        if seen is not None:
+            if len(defects) == seen:
+                _set(node, "checked", calc)
+            continue
+        if node.checked is calc:
+            continue
+        stack.append((node, None, len(defects)))
+        if single and not node.conclusion.is_single_conclusion():
             defects.append((path, f"multi-conclusion sequent {node.conclusion!r}"))
         # a leaf closes by an axiom, an inner node by a rule
         kind, schemas = ("axiom", calc.axioms) if node.is_leaf else ("rule", calc.rules)
@@ -534,10 +573,8 @@ def check_derivation(calc: Calculus, d: Derivation):
         elif not _instance_ok(rule, node):
             defects.append((path, f"not an instance of {node.rule}: "
                                   f"{node.conclusion!r}"))
-        for i, c in enumerate(node.children):
-            walk(c, path + (i,))
-
-    walk(d, ())
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], path + (i,), None))
     return defects
 
 

@@ -3,13 +3,13 @@ import pytest
 from proofkit.core import (FMultiset, Sequent, SplitAnt, Top, Bot, atom,
                            atoms, conj, disj, imp)
 from proofkit.calculus import _SOURCES, builtin, from_document
-from proofkit.prover import ProverCache, prove, decide
+from proofkit.prover import Derivation, ProverCache, prove, decide
 from proofkit.interpolation import (InterpolationProblem, InterpolantCertificate,
                                     NotAnAxiom, NotProvable, UnsupportedRule,
                                     axiom_interpolant, craig_interpolate,
                                     formula_interpolant, verify_certificate)
 from proofkit.syntax import parse_calculus, parse_formula as pf, parse_sequent as ps
-from proofkit import corpus
+from proofkit import corpus, interpolation, prover
 
 p, q, r = atom("p"), atom("q"), atom("r")
 
@@ -160,6 +160,68 @@ def _gammas(ant):
 
     for items in rec(0):
         yield FMultiset(items)
+
+
+def strip_leaves(d):
+    """d rebuilt with every leaf's assignment dropped, as a loaded leaf has
+    none."""
+    if d.is_leaf:
+        return Derivation(d.conclusion, d.rule)
+    return Derivation(d.conclusion, d.rule, d.assignment,
+                      [strip_leaves(c) for c in d.children])
+
+
+class TestCheckedLeaves:
+    def test_leaf_read_matches_axiom_lookup(self, g4ip, caches, monkeypatch):
+        # a leaf with a stored assignment is read off its own axiom; one
+        # without goes through axiom_interpolant and its axiom_instance
+        cache = caches(g4ip)
+        lookups = []
+        real = interpolation.axiom_instance
+
+        def counted(calc, s):
+            lookups.append(s)
+            return real(calc, s)
+
+        monkeypatch.setattr(interpolation, "axiom_instance", counted)
+        checked = 0
+        for s in corpus.sequents(("p", "q"), 5, single=True):
+            res = prove(g4ip, s, cache=cache)
+            if not res.provable:
+                continue
+            stripped = strip_leaves(res.derivation)
+            for gamma in _gammas(s.ant):
+                sp = SplitAnt(gamma, s.ant.difference(gamma), s.suc)
+                del lookups[:]
+                read = craig_interpolate(InterpolationProblem(g4ip, res.derivation, sp),
+                                         cache).alpha
+                assert lookups == []
+                looked_up = craig_interpolate(InterpolationProblem(g4ip, stripped, sp),
+                                              cache).alpha
+                assert lookups, (s, gamma)
+                assert read == looked_up, (s, gamma)
+                checked += 1
+        assert checked > 500
+
+    def test_input_derivation_checked_once(self, g4ip, monkeypatch):
+        cache = ProverCache(g4ip)
+        s = ps("p & q, p -> r, q -> r => r & (p | q)")
+        d = prove(g4ip, s, cache=cache).derivation
+        nodes = {id(n) for n in d.nodes()}
+        seen = []
+        real = prover._instance_ok
+
+        def counted(rule, node):
+            if id(node) in nodes:
+                seen.append(id(node))
+            return real(rule, node)
+
+        monkeypatch.setattr(prover, "_instance_ok", counted)
+        for gamma in _gammas(s.ant):
+            sp = SplitAnt(gamma, s.ant.difference(gamma), s.suc)
+            cert = craig_interpolate(InterpolationProblem(g4ip, d, sp), cache)
+            assert verify_certificate(g4ip, cert, sp) == []
+        assert sorted(seen) == sorted(nodes)
 
 
 class TestVerifyCertificate:

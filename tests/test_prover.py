@@ -5,12 +5,13 @@ import pytest
 
 from proofkit.core import FMultiset, Sequent, atom, conj, disj, imp, neg, Bot
 from proofkit import calculus, corpus, prover
-from proofkit.calculus import builtin
+from proofkit.calculus import _SOURCES, builtin, from_document
+from proofkit.proofio import emit_derivation, load_derivation
 from proofkit.prover import (Derivation, ProverCache, SearchBudget, NotADisjunction,
                              ShapeMismatch, prove, prove_with_cut, decide,
                              check_derivation, min_depth, invert,
                              split_disjunction, admissibility_probe, with_cut)
-from proofkit.syntax import parse_formula as pf, parse_sequent as ps
+from proofkit.syntax import parse_calculus, parse_formula as pf, parse_sequent as ps
 
 p, q = atom("p"), atom("q")
 
@@ -125,6 +126,124 @@ class TestCheckDerivation:
             assert r.provable
             assert check_derivation(calc, r.derivation) == []
             assert r.derivation.conclusion == ps(text)
+
+
+def fresh_copy(d):
+    """d rebuilt from new, unmarked nodes (assignments kept)."""
+    return Derivation(d.conclusion, d.rule, d.assignment,
+                      [fresh_copy(c) for c in d.children])
+
+
+def counted_instance_checks(monkeypatch):
+    calls = []
+    real = prover._instance_ok
+
+    def counted(rule, node):
+        calls.append(node)
+        return real(rule, node)
+
+    monkeypatch.setattr(prover, "_instance_ok", counted)
+    return calls
+
+
+class TestCheckMemo:
+    """check_derivation marks a subtree it walked without a defect and
+    skips it the next time; the marks must never hide a defect."""
+
+    @pytest.mark.parametrize("attr", ["conclusion", "rule", "assignment",
+                                      "children", "checked"])
+    def test_derivation_is_immutable(self, attr):
+        d = Derivation(ps("p => p"), "At")
+        with pytest.raises(AttributeError):
+            setattr(d, attr, None)
+        with pytest.raises(AttributeError):
+            delattr(d, attr)
+        assert d.conclusion == ps("p => p") and d.checked is None
+
+    def test_clean_walk_marks_and_is_not_repeated(self, g4ip, monkeypatch):
+        d = prove(g4ip, ps("p & q => q & p"), cache=ProverCache(g4ip)).derivation
+        assert all(n.checked is None for n in d.nodes())
+        calls = counted_instance_checks(monkeypatch)
+        assert check_derivation(g4ip, d) == []
+        assert len(calls) == len(list(d.nodes()))
+        assert all(n.checked is g4ip for n in d.nodes())
+        calls.clear()
+        assert check_derivation(g4ip, d) == [] and calls == []
+
+    def test_defect_above_a_checked_shared_subtree(self, g4ip, monkeypatch):
+        # a cache that has already checked a correct sibling: the second
+        # query's derivation shares the first's subtrees
+        cache = ProverCache(g4ip)
+        first = prove(g4ip, ps("p & q => q & p"), cache=cache).derivation
+        second = prove(g4ip, ps("p & q => p & q"), cache=cache).derivation
+        shared = {id(n) for n in first.nodes()} & {id(n) for n in second.nodes()}
+        assert shared
+        assert check_derivation(g4ip, first) == []
+        inner = second.children[0]            # G, p, q => p & q by R&
+        assert inner.children[0].checked is g4ip
+        # the premises of R& swapped: only the planted node is wrong
+        planted = Derivation(second.conclusion, second.rule, second.assignment,
+                             [Derivation(inner.conclusion, inner.rule, None,
+                                         inner.children[::-1])])
+        fresh = fresh_copy(planted)
+        expected = [((0,), f"not an instance of R&: {inner.conclusion!r}")]
+        calls = counted_instance_checks(monkeypatch)
+        assert check_derivation(g4ip, planted) == expected
+        # the root and the planted node are checked; the marked premises not
+        assert len(calls) == 2
+        assert check_derivation(g4ip, fresh) == expected
+        assert planted.checked is None and planted.children[0].checked is None
+        assert check_derivation(g4ip, planted) == expected
+
+    def test_broken_subtree_twice_reported_twice(self, g3cp):
+        bad = Derivation(ps("q => p"), "At")
+        root = Derivation(ps("q => p & p"), "R&", None, [bad, bad])
+        msg = f"not an instance of At: {ps('q => p')!r}"
+        assert check_derivation(g3cp, root) == [((0,), msg), ((1,), msg)]
+        assert bad.checked is None and root.checked is None
+        assert check_derivation(g3cp, root) == [((0,), msg), ((1,), msg)]
+
+    def test_mark_is_per_calculus_object(self, g4ip):
+        d = prove(g4ip, ps("p, q => q & p"), cache=ProverCache(g4ip)).derivation
+        assert d.rule == "R&"
+        assert check_derivation(g4ip, d) == [] and d.checked is g4ip
+        text = _SOURCES["g4ip"]
+        line = next(x for x in text.splitlines() if x.startswith("rule R& :"))
+        twin = from_document(parse_calculus(text.replace(line + "\n", "")))
+        assert twin != g4ip and "R&" not in twin.rule_names()
+        assert check_derivation(twin, d) == [((), "unknown rule 'R&'")]
+        assert d.checked is g4ip
+
+    def test_loaded_derivation_is_checked_in_full(self, g4ip, monkeypatch):
+        d = prove(g4ip, ps("p & (p -> q) => q | r"), cache=ProverCache(g4ip)).derivation
+        assert check_derivation(g4ip, d) == []
+        loaded = load_derivation(emit_derivation(d, g4ip.name), g4ip)
+        assert loaded == d
+        nodes = list(loaded.nodes())
+        assert all(n.checked is None and n.assignment is None for n in nodes)
+        calls = counted_instance_checks(monkeypatch)
+        assert check_derivation(g4ip, loaded) == []
+        assert len(calls) == len(nodes)
+        assert all(n.checked is g4ip for n in nodes)
+
+    def test_deep_derivation_checked_iteratively(self, g1cp):
+        # p => p under 4,999 alternating weakenings and contractions
+        single, double = ps("p => p"), ps("p, p => p")
+        d = Derivation(single, "At")
+        for i in range(4_999):
+            d = (Derivation(double, "LW", None, [d]) if i % 2 == 0
+                 else Derivation(single, "LC", None, [d]))
+        broken = Derivation(single, "LW", None, [d])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            assert d.depth() == 5_000
+            assert check_derivation(g1cp, d) == []
+            assert check_derivation(g1cp, broken) == \
+                [((), f"not an instance of LW: {single!r}")]
+        finally:
+            sys.setrecursionlimit(limit)
+        assert d.checked is g1cp and broken.checked is None
 
 
 class TestProve:
