@@ -15,11 +15,20 @@ boxed multiset variable.
 
 `->` is right-associative; `&` and `|` associate to the left; `~a` is sugar
 for ``a -> false``.
+
+Text is tokenized by one ``findall`` of a regular expression: whitespace
+only separates tokens, and each token's kind is read off its own string, so
+the recursive descent compares token strings.  No offsets are kept while
+parsing.  A `ParseError`'s `SourceSpan` (0-based, half-open character
+offsets) is computed only when the error is raised, by scanning the failed
+text again; a character that starts no token is reported first, before any
+grammar error earlier in the text.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
 
 from . import core
@@ -52,150 +61,124 @@ class DuplicateName(Exception):
 FORMULA_METAVARS = ("A", "B", "C", "E", "F")
 MULTISET_VARS = ("G", "P", "D", "S", "L", "M")
 
-_TOKEN = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<arrow>->)
-  | (?P<seq>=>)
-  | (?P<box>\[\])
-  | (?P<amv>[a-z][a-zA-Z0-9_']*\?)
-  | (?P<name>[a-z][a-zA-Z0-9_']*)
-  | (?P<upper>[A-Z])
-  | (?P<punct>[&|~(),;])
-""", re.VERBOSE)
-
-
-def _tokenize(text):
-    toks = []
-    i, n = 0, len(text)
-    while i < n:
-        m = _TOKEN.match(text, i)
-        if not m:
-            raise ParseError("unexpected character", SourceSpan(i, i + 1), text)
-        i = m.end()
-        if m.lastgroup == "ws":
-            continue
-        toks.append((m.lastgroup, m.group(), SourceSpan(m.start(), m.end())))
-    toks.append(("eof", "", SourceSpan(n, n)))
-    return toks
+_TOKENS = r"->|=>|\[\]|[a-z][a-zA-Z0-9_']*\??|[A-Z]|[&|~(),;]"
+_VALID = re.compile(_TOKENS)
+# one findall gives every token; whitespace matches nothing and is skipped,
+# and `\S` makes each stray character a token of its own
+_TOKEN = re.compile(_TOKENS + r"|\S")
+_LOWER = frozenset(string.ascii_lowercase)
+_UPPER = frozenset(string.ascii_uppercase)
 
 
 class _Parser:
+    """Recursive descent over the token strings of `text`; "" ends the list."""
+
     def __init__(self, text, meta=False):
         self.text = text
-        self.toks = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
+        self.toks.append("")
         self.pos = 0
         self.meta = meta
 
-    def peek(self):
-        return self.toks[self.pos]
-
-    def next(self):
-        t = self.toks[self.pos]
-        self.pos += 1
-        return t
+    def fail(self, message, k):
+        """Raise ParseError at token k.  A stray character anywhere in the
+        text is reported instead, as the first error; a stray token never
+        parses, so every text holding one ends here."""
+        text = self.text
+        spans = []
+        for m in _TOKEN.finditer(text):
+            if not _VALID.fullmatch(m.group()):
+                raise ParseError("unexpected character", SourceSpan(*m.span()), text)
+            spans.append(m.span())
+        spans.append((len(text), len(text)))
+        raise ParseError(message, SourceSpan(*spans[k]), text)
 
     def expect(self, value):
-        kind, val, span = self.next()
-        if val != value:
-            raise ParseError(f"expected {value!r}, found {val or 'end of input'!r}",
-                             span, self.text)
+        tok = self.toks[self.pos]
+        if tok != value:
+            self.fail(f"expected {value!r}, found {tok or 'end of input'!r}", self.pos)
+        self.pos += 1
 
-    def error(self, msg):
-        _, val, span = self.peek()
-        raise ParseError(msg + (f", found {val!r}" if val else ", found end of input"),
-                         span, self.text)
-
-    # formula := imp
+    # formula := or ('->' formula)?     (right-associative)
     def formula(self) -> Formula:
-        return self._imp()
-
-    def _imp(self):
         left = self._or()
-        if self.peek()[1] == "->":
-            self.next()
-            return imp(left, self._imp())
+        if self.toks[self.pos] == "->":
+            self.pos += 1
+            return imp(left, self.formula())
         return left
 
+    # or := and ('|' and)*,  and := unary ('&' unary)*     (left-associative)
     def _or(self):
-        f = self._and()
-        while self.peek()[1] == "|":
-            self.next()
-            f = disj(f, self._and())
-        return f
+        toks = self.toks
+        f = None
+        while True:
+            g = self._unary()
+            while toks[self.pos] == "&":
+                self.pos += 1
+                g = conj(g, self._unary())
+            f = g if f is None else disj(f, g)
+            if toks[self.pos] != "|":
+                return f
+            self.pos += 1
 
-    def _and(self):
-        f = self._unary()
-        while self.peek()[1] == "&":
-            self.next()
-            f = conj(f, self._unary())
-        return f
-
+    # unary := ('~' | '[]' | 'O') unary | '(' formula ')' | atom | metavariable
     def _unary(self):
-        kind, val, span = self.peek()
-        if val == "~":
-            self.next()
+        k = self.pos
+        tok = self.toks[k]
+        self.pos = k + 1
+        if tok == "~":
             return core.neg(self._unary())
-        if val == "[]":
-            self.next()
+        if tok == "[]":
             return box(self._unary())
-        if kind == "upper" and val == "O":
-            self.next()
+        if tok == "O":
             return circle(self._unary())
-        return self._primary()
-
-    def _primary(self):
-        kind, val, span = self.next()
-        if val == "(":
-            f = self._imp()
+        if tok == "(":
+            f = self.formula()
             self.expect(")")
             return f
-        if kind == "name":
-            if val == "true":
-                return Top
-            if val == "false":
-                return Bot
-            return atom(val)
-        if kind == "amv":
+        if tok[:1] in _LOWER:
+            if tok[-1] != "?":
+                return Top if tok == "true" else Bot if tok == "false" else atom(tok)
+            if self.meta:
+                return ameta(tok[:-1])
+            self.fail("atom metavariable outside rule syntax", k)
+        if tok in _UPPER:
             if not self.meta:
-                raise ParseError("atom metavariable outside rule syntax", span, self.text)
-            return ameta(val[:-1])
-        if kind == "upper":
-            if not self.meta:
-                raise ParseError("metavariable outside rule syntax", span, self.text)
-            if val in FORMULA_METAVARS:
-                return fmeta(val)
-            raise ParseError(f"{val!r} is a multiset variable, not a formula", span, self.text)
-        raise ParseError("expected a formula", span, self.text)
+                self.fail("metavariable outside rule syntax", k)
+            if tok in FORMULA_METAVARS:
+                return fmeta(tok)
+            self.fail(f"{tok!r} is a multiset variable, not a formula", k)
+        self.fail("expected a formula", k)
 
-    # sequent item lists; in meta mode items may be multiset variables
+    # a comma-separated list, empty if it starts at a stop value: formulas,
+    # or in meta mode DSL items that may be multiset variables
     def items(self, stop_values):
         out = []
-        if self.peek()[1] in stop_values:
+        if self.toks[self.pos] in stop_values:
             return out
+        item = self.item if self.meta else self.formula
         while True:
-            out.append(self.item())
-            if self.peek()[1] == ",":
-                self.next()
-                continue
-            return out
+            out.append(item())
+            if self.toks[self.pos] != ",":
+                return out
+            self.pos += 1
 
     def item(self):
-        if self.meta:
-            kind, val, span = self.peek()
-            if kind == "upper" and val in MULTISET_VARS:
-                self.next()
-                return ("mv", val)
-            if val == "[]":
-                nkind, nval, _ = self.toks[self.pos + 1]
-                if nkind == "upper" and nval in MULTISET_VARS:
-                    self.next()
-                    self.next()
-                    return ("bmv", nval)
+        tok = self.toks[self.pos]
+        if tok in MULTISET_VARS:
+            self.pos += 1
+            return ("mv", tok)
+        if tok == "[]":
+            var = self.toks[self.pos + 1]
+            if var in MULTISET_VARS:
+                self.pos += 2
+                return ("bmv", var)
         return ("pat", self.formula())
 
     def done(self):
-        if self.peek()[0] != "eof":
-            self.error("trailing input")
+        tok = self.toks[self.pos]
+        if tok:
+            self.fail(f"trailing input, found {tok!r}", self.pos)
 
 
 def parse_formula(text: str, meta=False) -> Formula:
@@ -211,7 +194,7 @@ def parse_sequent(text: str) -> Sequent:
     p.expect("=>")
     suc = p.items(("",))
     p.done()
-    return Sequent(FMultiset(f for _, f in ant), FMultiset(f for _, f in suc))
+    return Sequent(FMultiset(ant), FMultiset(suc))
 
 
 def parse_metasequent(text: str):
