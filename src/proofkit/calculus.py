@@ -12,15 +12,17 @@ axiom or a rule closes a sequent.
 
 Matching (`match_metasequent`) finds every instance of a schema sequent in
 a sequent.  `match_conclusion` and `axiom_instance` share one loop
-(`_instances`), which first skips any schema
-with a side that needs a top-level kind the sequent side lacks (`Side.kinds`:
-an atom for p?, nothing for A).  Within a schema the formula patterns of
-both sides are placed first, most specific first (`MetaSequent.plan`: p? -> A
-before p?, a metavariable already bound found by its occurrences), and the
-remainder, the boxed binding and the context binding are built once per
-complete placement.  A pattern whose first child a bare pattern on the same
-side also takes (G4 `Lp->`: p?, p? -> A) skips, before any `match_formula`,
-an occurrence whose child is not a member of that side.  The instance order
+(`_instances`), which first skips any schema with a side that needs a kind
+or a shape (kind and first child's kind, `core.Formula.shape`) that the
+sequent side lacks (`Side.kinds`: an atom for p?, nothing for A, `imp/atom`
+for p? -> A); a search reads the sequent's once per node (`sequent_kinds`).
+Within a schema the formula patterns of both sides are placed first, most
+specific first (`MetaSequent.plan`: p? -> A before p?, a metavariable
+already bound found by its occurrences), and the remainder, the boxed
+binding and the context binding are built once per complete placement.
+A pattern whose first child a bare pattern on the same side also takes (G4
+`Lp->`: p?, p? -> A) skips, before any `match_formula`, an occurrence whose
+child is not a member of that side.  The instance order
 is nevertheless the one of trying the patterns in written order, antecedent
 first, each on every remaining occurrence in canonical position order:
 placements are re-sorted into that order when the plan differs from it.  So
@@ -80,14 +82,24 @@ class Side:
 
     @cached_property
     def kinds(self) -> frozenset:
-        """The top-level kinds a matched multiset must contain: `atom` for
-        p?, the pattern's own kind for a connective or constant, none for A."""
-        return frozenset(_need(p) for p in self.pats) - {None}
+        """The kinds and shapes a matched multiset must contain: `atom` for
+        p?, the pattern's own kind for a connective or constant, none for A,
+        and instead the shape (`core.Formula.shape`) when the first child
+        needs a kind too: p? -> A needs `imp/atom`, (A & B) & C `and/and`,
+        A -> B only `imp`."""
+        return frozenset(map(_need_shape, self.pats)) - {None}
 
 
 def _need(pat):
     """The top-level kind an occurrence matching pat has (None: any)."""
     return {core.FMETA: None, core.AMETA: core.ATOM}.get(pat.kind, pat.kind)
+
+
+def _need_shape(pat):
+    """The shape an occurrence matching pat has when its first child needs
+    a kind, else `_need(pat)`."""
+    inner = pat.kind in core.BINARY + core.UNARY and _need(pat.a)
+    return core.SHAPES[pat.kind, inner] if inner else _need(pat)
 
 
 def _decode(items, where) -> Side:
@@ -146,8 +158,9 @@ class MetaSequent:
         return tuple(plan), order != sorted(order)
 
     def admits(self, kinds) -> bool:
-        """False when a side needs a top-level kind that the sequent, whose
-        (antecedent, succedent) kinds are given, lacks."""
+        """False when a side needs a kind or shape that the sequent, whose
+        (antecedent, succedent) `sequent_kinds` are given, lacks: then no
+        placement exists and `_place` need not scan the side."""
         return self.ant.kinds <= kinds[0] and self.suc.kinds <= kinds[1]
 
     def __repr__(self):
@@ -236,6 +249,14 @@ class Calculus:
         rules = [replace(r, premises=tuple(_kept(p, r.conclusion, multi) for p in r.premises))
                  for r in rules]
         return Calculus(self.name, self.mode, axioms, rules, None, True)
+
+    @cached_property
+    def shaped(self):
+        """(antecedent, succedent): the kinds of the schema patterns that
+        need a shape (`Side.kinds`)."""
+        sides = [(r.conclusion.ant, r.conclusion.suc) for r in self.axioms + self.rules]
+        return tuple(frozenset(p.kind for pair in sides for p in pair[i].pats
+                               if _need_shape(p) != _need(p)) for i in (0, 1))
 
     def rule(self, name) -> RuleSchema:
         for r in self.rules:
@@ -363,26 +384,23 @@ def _place(plan, rows, j, asg, pos, out, members):
     """Append to out every placement of the patterns plan[j:] on distinct
     occurrences, as (positions in slot order, assignment), in plan order.
     pos holds the positions placed so far, members per side the ids of its
-    members once a bound metavariable or a shared child (`MetaSequent.plan`)
-    needs them: an occurrence whose shared child is not a member cannot
-    take the pattern, so it is skipped before `match_formula`.  A module
-    function rather than a closure that calls itself: such a closure is a
-    reference cycle per call, and collecting those made search on small
-    sequents a quarter slower."""
+    members once a shared child (`MetaSequent.plan`) needs them: an
+    occurrence whose shared child is not a member cannot take the pattern,
+    so it is skipped before `match_formula`.  A bound metavariable finds its
+    occurrences by `in` and `index` on the row, which compare by identity
+    first.  A module function rather than a closure that calls itself: such
+    a closure is a reference cycle per call, and collecting those made
+    search on small sequents a quarter slower."""
     if j == len(plan):
         out.append((tuple(pos), asg))
         return
     slot, side, pat, var, need, inner, shared, others = plan[j]
     row = rows[side]
     f = asg.get(var) if var is not None else None
-    if f is not None or shared:
-        ids = members[side]
-        if ids is None:
-            ids = members[side] = set(map(id, row))
     if f is not None:
         # a bound metavariable takes its own occurrences, nothing else;
         # equal members are adjacent in the canonical order
-        if id(f) in ids:
+        if f in row:
             i = row.index(f)
             while i < len(row) and row[i] is f:
                 if not (others and any(pos[t] == i for t in others)):
@@ -390,6 +408,10 @@ def _place(plan, rows, j, asg, pos, out, members):
                     _place(plan, rows, j + 1, asg, pos, out, members)
                 i += 1
         return
+    if shared:
+        ids = members[side]
+        if ids is None:
+            ids = members[side] = set(map(id, row))
     for i, g in enumerate(row):
         if need is not None and (g.kind != need
                                  or inner is not None and g.a.kind != inner):
@@ -482,10 +504,9 @@ def instantiate(ms: MetaSequent, asg) -> Sequent:
     return Sequent(fill(ms.ant), fill(ms.suc))
 
 
-def _instances(schemas, s: Sequent):
+def _instances(schemas, s: Sequent, kinds):
     """Yield the instances of schemas whose conclusion is s: schema order,
     then principal-occurrence order."""
-    kinds = _kinds(s)
     for rule in schemas:
         if not rule.conclusion.admits(kinds):
             continue
@@ -497,23 +518,36 @@ def _instances(schemas, s: Sequent):
             yield RuleInstance(rule, asg, premises, s)
 
 
-def match_conclusion(calc: Calculus, s: Sequent):
+def match_conclusion(calc: Calculus, s: Sequent, kinds=None):
     """All rule instances of calc whose conclusion is s, in deterministic
-    order: rule order, then principal-occurrence order."""
-    return list(_instances(calc.rules, s))
+    order: rule order, then principal-occurrence order.  kinds, when
+    given, is `sequent_kinds(calc, s)`."""
+    return list(_instances(calc.rules, s, kinds or sequent_kinds(calc, s)))
 
 
-def axiom_instance(calc: Calculus, s: Sequent):
-    """The first axiom instance whose conclusion is s, else None."""
-    return next(_instances(calc.axioms, s), None)
+def axiom_instance(calc: Calculus, s: Sequent, kinds=None):
+    """The first axiom instance whose conclusion is s, else None.  kinds,
+    when given, is `sequent_kinds(calc, s)`."""
+    return next(_instances(calc.axioms, s, kinds or sequent_kinds(calc, s)), None)
 
 
-def _kinds(s: Sequent):
-    """The top-level kinds on each side of s."""
-    return set(map(_kind, s.ant.items)), set(map(_kind, s.suc.items))
+def sequent_kinds(calc: Calculus, s: Sequent):
+    """The kinds of the members on each side of s, and their shapes too on
+    a side that holds a kind in `calc.shaped`: what `MetaSequent.admits`
+    reads.  A search computes them once per node."""
+    shaped = calc.shaped
+    return _side_kinds(s.ant.items, shaped[0]), _side_kinds(s.suc.items, shaped[1])
+
+
+def _side_kinds(items, shaped):
+    kinds = set(map(_kind, items))
+    if not kinds.isdisjoint(shaped):
+        kinds.update(map(_shape, items))
+    return kinds
 
 
 _kind = attrgetter("kind")
+_shape = attrgetter("shape")
 
 
 def is_instance_finite(calc: Calculus):

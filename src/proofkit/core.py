@@ -32,20 +32,27 @@ UNARY = (BOX, CIRCLE)
 _KIND_RANK = {BOT: 0, TOP: 1, ATOM: 2, AMETA: 3, FMETA: 4,
               BOX: 5, CIRCLE: 6, AND: 7, OR: 8, IMP: 9}
 
+# (kind, first child's kind) -> the shape of a unary or binary formula
+SHAPES = {(k, c): f"{k}/{c}" for k in BINARY + UNARY for c in _KIND_RANK}
+
 
 class Formula:
     """One node of a formula tree.
 
     `kind` is one of the module-level tags; `a` holds the atom name or the
-    left/inner child, `b` the right child (binary kinds only).
+    left/inner child, `b` the right child (binary kinds only).  `shape` is
+    the kind for a leaf and `SHAPES[kind, a.kind]` otherwise, so a rule
+    pattern such as p? -> A can be ruled out by a set of member shapes.
     """
 
-    __slots__ = ("kind", "a", "b", "_weight", "_degree", "_atoms", "_key")
+    __slots__ = ("kind", "a", "b", "shape", "_weight", "_degree", "_atoms", "_key")
 
     def __init__(self, kind, a=None, b=None):
         self.kind = kind
         self.a = a
         self.b = b
+        # a leaf's a is a name or None
+        self.shape = SHAPES[kind, a.kind] if isinstance(a, Formula) else kind
         self._weight = None
         self._degree = None
         self._atoms = None

@@ -37,7 +37,7 @@ from . import core
 from .core import (Formula, FMultiset, Sequent, EMPTY, disj, subformulas)
 from .calculus import (Calculus, RuleInstance, axiom_instance, builtin,
                        instantiate, match_conclusion, match_metasequent,
-                       subst_pattern)
+                       sequent_kinds, subst_pattern)
 
 sys.setrecursionlimit(100_000)
 
@@ -214,8 +214,8 @@ class _Search:
 
     # -- instance enumeration ------------------------------------------------
 
-    def instances(self, s: Sequent):
-        out = match_conclusion(self.searched, s)
+    def instances(self, s: Sequent, kinds):
+        out = match_conclusion(self.searched, s, kinds)
         if self.cut_pool:
             for phi in self.cut_pool:
                 asg = {"G": s.ant, "A": phi, "D": s.suc}
@@ -257,14 +257,15 @@ class _Search:
             self.stats.nodes += 1
             if self.stats.nodes > self.budget.max_nodes:
                 raise _Budget()
-            ax = axiom_instance(self.searched, s)
+            kinds = sequent_kinds(self.searched, s)
+            ax = axiom_instance(self.searched, s, kinds)
             if ax is not None:
                 cache.proved[s] = self._derive(s, ax, ())
                 newly.append(s)
                 continue
             rows = []
             dedupe = set()
-            for inst in self.instances(s):
+            for inst in self.instances(s, kinds):
                 prems = tuple(_support(p) for p in inst.premises)
                 if prems in dedupe:
                     continue
@@ -308,7 +309,8 @@ class _Search:
         if self.stats.nodes > self.budget.max_nodes:
             raise _Budget()
 
-        ax = axiom_instance(self.searched, s)
+        kinds = sequent_kinds(self.searched, s)
+        ax = axiom_instance(self.searched, s, kinds)
         if ax is not None:
             cache.proved[s] = self._derive(s, ax, ())
             return True, True
@@ -323,7 +325,7 @@ class _Search:
         absolute = True
         seen_premises = set()
         try:
-            for inst in self.instances(s):
+            for inst in self.instances(s, kinds):
                 if inst.premises in seen_premises:
                     continue
                 seen_premises.add(inst.premises)

@@ -68,6 +68,8 @@ _VALID = re.compile(_TOKENS)
 _TOKEN = re.compile(_TOKENS + r"|\S")
 _LOWER = frozenset(string.ascii_lowercase)
 _UPPER = frozenset(string.ascii_uppercase)
+_METAVARS_HINT = (f"formulas: {' '.join(FORMULA_METAVARS)}; "
+                  f"multisets: {' '.join(MULTISET_VARS)}")
 
 
 class _Parser:
@@ -147,7 +149,9 @@ class _Parser:
                 self.fail("metavariable outside rule syntax", k)
             if tok in FORMULA_METAVARS:
                 return fmeta(tok)
-            self.fail(f"{tok!r} is a multiset variable, not a formula", k)
+            if tok in MULTISET_VARS:
+                self.fail(f"{tok!r} is a multiset variable, not a formula", k)
+            self.fail(f"{tok!r} is not a metavariable ({_METAVARS_HINT})", k)
         self.fail("expected a formula", k)
 
     # a comma-separated list, empty if it starts at a stop value: formulas,
@@ -330,20 +334,24 @@ def parse_calculus(text: str) -> CalculusDoc:
                 raise DuplicateName(f"{rname!r} declared twice")
             seen.add(rname)
             body = body.strip()
+            at = raw.index(":")
             if head == "axiom":
-                axioms.append((rname, parse_metasequent(body)))
+                axioms.append((rname, _metasequent_at(raw, lineno, body, at)[0]))
             else:
                 conc_text, arrow, prem_text = body.partition("<-")
                 if not arrow:
                     raise ParseError(f"rule {rname!r} lacks '<-' on line {lineno}",
                                      SourceSpan(0, len(raw)), raw)
-                conclusion = parse_metasequent(conc_text.strip())
+                conclusion, at = _metasequent_at(raw, lineno, conc_text.strip(), at)
                 texts = [t.strip() for t in prem_text.split(";") if t.strip()]
                 if not texts:
                     raise ParseError(f"rule {rname!r} has no premises; use an axiom",
                                      SourceSpan(0, len(raw)), raw)
                 invertible[rname] = frozenset(i for i, t in enumerate(texts) if t.endswith("!"))
-                premises = [parse_metasequent(t.removesuffix("!")) for t in texts]
+                premises = []
+                for t in texts:
+                    prem, at = _metasequent_at(raw, lineno, t.removesuffix("!"), at)
+                    premises.append(prem)
                 rules.append((rname, premises, conclusion))
         else:
             raise ParseError(f"unknown directive {head!r} on line {lineno}",
@@ -351,3 +359,15 @@ def parse_calculus(text: str) -> CalculusDoc:
     if name is None:
         raise ParseError("missing 'calculus NAME' header", SourceSpan(0, 0), text[:40])
     return CalculusDoc(name, mode, measure, axioms, rules, wc_admissible, invertible)
+
+
+def _metasequent_at(raw, lineno, frag, start):
+    """parse_metasequent(frag), and the offset in raw just past frag, the
+    first occurrence of frag in raw from start on; a ParseError names the
+    line and spans into it."""
+    at = raw.index(frag, start)
+    try:
+        return parse_metasequent(frag), at + len(frag)
+    except ParseError as e:
+        raise ParseError(f"{e.message} on line {lineno}",
+                         SourceSpan(at + e.span.start, at + e.span.end), raw) from None

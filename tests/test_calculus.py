@@ -285,6 +285,143 @@ class TestMatchWork:
         assert calls < 10 * n, calls
 
 
+# nested patterns: shapes on both sides, one (A -> false) that needs only a
+# kind, and plain patterns of the same kinds, so that admits must tell a
+# shape from its kind
+NESTED_USER = """
+calculus Nested
+mode single
+axiom At : G, p? => p?
+axiom Lbot : G, false => D
+axiom Rtop : G => true
+rule L&& : G, (A & B) & C => D <- G, A, B, C => D
+rule L& : G, A & B => D <- G, A, B => D
+rule L[]p-> : G, []p?, []p? -> A => D <- G, []p?, A => D
+rule LT-> : G, true -> A => D <- G, A => D
+rule L~ : G, A -> false => D <- G => A
+rule R|& : G => (A & B) | C <- G => A ; G => B
+rule R| : G => A | B <- G => A
+"""
+
+
+def top_admits(rule, s):
+    """No side of rule's conclusion needs a top-level kind s lacks."""
+    c = rule.conclusion
+    return all({calculus._need(p) for p in side.pats} - {None} <= {f.kind for f in ms}
+               for side, ms in ((c.ant, s.ant), (c.suc, s.suc)))
+
+
+def top_kinds_instances(schemas, s):
+    """The instances of schemas at s, with schemas skipped only on a
+    top-level kind that a side lacks, each as (rule, assignment, premises);
+    contexts and patterns are matched by the plain enumerator."""
+    for rule in schemas:
+        if not top_admits(rule, s):
+            continue
+        for asg in reference_match(rule.conclusion, s):
+            try:
+                premises = tuple(instantiate(p, asg) for p in rule.premises)
+            except KeyError:
+                continue
+            yield rule, asg, premises
+
+
+def reachable(calc, roots, limit):
+    """The roots and, breadth first, premises of their instances, at most
+    limit sequents per root."""
+    out = []
+    for root in roots:
+        seen, todo = {root}, [root]
+        while todo and len(seen) < limit:
+            s = todo.pop(0)
+            for inst in match_conclusion(calc, s):
+                for prem in inst.premises:
+                    if prem not in seen and len(seen) < limit:
+                        seen.add(prem)
+                        todo.append(prem)
+        out += seen
+    return out
+
+
+def wide_roots(n):
+    """wide's chain, conj and absent sequents over n atoms."""
+    a = [atom(f"a{i}") for i in range(n)]
+    big = a[0]
+    for x in a[1:]:
+        big = conj(big, x)
+    return [core.sequent([a[0]] + [imp(x, y) for x, y in zip(a, a[1:])], [a[-1]]),
+            core.sequent([big], [a[0]]), core.sequent([big], [atom("b0")])]
+
+
+class TestConclusionParity:
+    """match_conclusion and axiom_instance, which skip schemas on kinds and
+    shapes (`Side.kinds`), give the instances, in order, of a reference
+    that skips on top-level kinds only."""
+
+    @staticmethod
+    def check(calc, seqs):
+        used = set()
+        for s in seqs:
+            got = [(i.rule, i.assignment, i.premises) for i in match_conclusion(calc, s)]
+            assert got == list(top_kinds_instances(calc.rules, s)), (calc.name, s)
+            ax = axiom_instance(calc, s)
+            want = next(top_kinds_instances(calc.axioms, s), None)
+            assert (ax and (ax.rule, ax.assignment, ax.premises)) == want, (calc.name, s)
+            used.update(i[0].name for i in got)
+        return used
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_builtin_corpus(self, name):
+        calc = builtin(name)
+        weight, modal = PARITY_CORPORA[name]
+        assert self.check(calc, corpus.sequents(("p", "q"), weight,
+                                                calc.mode == "single", modal))
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_builtin_wide_families(self, name):
+        calc = builtin(name)
+        assert self.check(calc, reachable(calc, wide_roots(50), 25))
+
+    def test_nested_patterns(self):
+        calc = from_document(parse_calculus(NESTED_USER))
+        seqs = list(corpus.sequents(("p", "q"), 6, True, "box"))
+        seqs += reachable(calc, wide_roots(50), 25)
+        seqs += [ps(t) for t in ("(p & q) & p => q", "(p | q) & p, p & q => p",
+                                 "[]p, []p -> q, []q -> p => (p & q) | q",
+                                 "[]p -> q, p -> q, true -> p => (p | q) | q",
+                                 "q -> false, true & p => (p -> q) | p")]
+        assert self.check(calc, seqs) == set(calc.rule_names())
+        # exactly the schemas with a shape are skipped where their top-level
+        # kinds are present
+        skipped = {r.name for s in seqs for r in calc.rules
+                   if top_admits(r, s)
+                   and not r.conclusion.admits(calculus.sequent_kinds(calc, s))}
+        assert skipped == {"L&&", "L[]p->", "LT->", "R|&"}
+
+
+class TestShapes:
+    def test_every_interned_formula(self):
+        # the builtins' pattern formulas and those below are interned
+        ps("[]p -> q, O(p & q), (p -> q) | ~r, true -> p => [][]p")
+        from_document(parse_calculus(NESTED_USER))
+        compound = core.BINARY + core.UNARY
+        for f in core._intern.values():
+            want = core.SHAPES[f.kind, f.a.kind] if f.kind in compound else f.kind
+            assert f.shape is want, f
+        meta = parse_calculus("calculus X\nrule R : G, p? -> A, []A -> B => D <- G => D")
+        pats = [f for _, f in meta.rules[0][2][0] if _ == "pat"]
+        assert [f.shape for f in pats] == ["imp/ameta", "imp/box"]
+        assert (core.imp(p, q).shape, core.conj(core.Top, p).shape) == ("imp/atom", "and/top")
+        assert (p.shape, core.Bot.shape, core.fmeta("A").shape) == ("atom", "bot", "fmeta")
+
+    def test_shaped_kinds_come_from_the_schemas(self):
+        assert builtin("G4ip").shaped == ({"imp"}, set())
+        assert builtin("G4LL").shaped == ({"imp"}, set())
+        assert builtin("G3cp").shaped == (set(), set())
+        # []p? in L[]p-> needs box/atom
+        assert from_document(parse_calculus(NESTED_USER)).shaped == ({"and", "box", "imp"}, {"or"})
+
+
 def reference_instantiate(ms, asg):
     """Premise instantiation that sorts every side from scratch."""
     def fill(side):

@@ -146,7 +146,15 @@ ERRORS = [
     ("sequent", "p, => q", "expected a formula", 3, 5),
     ("sequent", "p => q =>", "trailing input, found '=>'", 7, 9),
     ("metasequent", "G, A => D ; x", "trailing input, found ';'", 10, 11),
-    ("metasequent", "[]X => A", "'X' is a multiset variable, not a formula", 2, 3),
+    ("metasequent", "[]X => A",
+     "'X' is not a metavariable (formulas: A B C E F; multisets: G P D S L M)", 2, 3),
+    ("meta", "A & Q",
+     "'Q' is not a metavariable (formulas: A B C E F; multisets: G P D S L M)", 4, 5),
+    # a metasequent error in a calculus names the line and spans into it
+    ("calculus", "rule R : G => A $ <- G => A", "unexpected character on line 2", 16, 17),
+    ("calculus", "axiom Ax : []X => A", "'X' is not a metavariable (formulas: A B C E F; "
+     "multisets: G P D S L M) on line 2", 13, 14),
+    ("calculus", "rule R : G => A <- G => A ; G => A &", "expected a formula on line 2", 36, 36),
 ]
 
 
@@ -157,6 +165,9 @@ def _parse_with(entry, text):
         return parse_formula(text, meta=True)
     if entry == "sequent":
         return parse_sequent(text)
+    if entry == "calculus":
+        # the text is line 2 of a calculus
+        return parse_calculus(f"calculus X\n{text}")
     return parse_metasequent(text)
 
 
@@ -285,7 +296,11 @@ class _ReferenceParser:
                 raise ParseError("metavariable outside rule syntax", span, self.text)
             if val in FORMULA_METAVARS:
                 return fmeta(val)
-            raise ParseError(f"{val!r} is a multiset variable, not a formula", span, self.text)
+            if val in MULTISET_VARS:
+                raise ParseError(f"{val!r} is a multiset variable, not a formula",
+                                 span, self.text)
+            raise ParseError(f"{val!r} is not a metavariable (formulas: A B C E F; "
+                             f"multisets: G P D S L M)", span, self.text)
         raise ParseError("expected a formula", span, self.text)
 
     def items(self, stop_values):
@@ -374,7 +389,8 @@ def _fuzz_piece(rng):
 class TestReferenceParity:
     def test_error_table(self):
         for entry, text, *_ in ERRORS:
-            assert_same_parse(entry, text)
+            if entry != "calculus":      # the reference parses no calculus
+                assert_same_parse(entry, text)
 
     @pytest.mark.parametrize("names,bound,modal", [
         (("p", "q"), 6, None), (("p", "q", "r"), 5, None),
