@@ -11,23 +11,22 @@ n = 0: `Calculus.axioms` holds premise-free schemas, so one instance type
 axiom or a rule closes a sequent.
 
 Matching (`match_metasequent`) finds every instance of a schema sequent in
-a sequent.  `match_conclusion` and `axiom_instance` share one loop
-(`_instances`), which first skips any schema with a side that needs a kind
-or a shape (kind and first child's kind, `core.Formula.shape`) that the
-sequent side lacks (`Side.kinds`: an atom for p?, nothing for A, `imp/atom`
-for p? -> A); a search reads the sequent's once per node (`sequent_kinds`).
-Within a schema the formula patterns of both sides are placed first, most
-specific first (`MetaSequent.plan`: p? -> A before p?, a metavariable
-already bound found by its occurrences), and the remainder, the boxed
-binding and the context binding are built once per complete placement.
-A pattern whose first child a bare pattern on the same side also takes (G4
-`Lp->`: p?, p? -> A) skips, before any `match_formula`, an occurrence whose
-child is not a member of that side.  The instance order
-is nevertheless the one of trying the patterns in written order, antecedent
-first, each on every remaining occurrence in canonical position order:
-placements are re-sorted into that order when the plan differs from it.  So
-`match_conclusion` lists instances in rule order, then principal-occurrence
-order, with the same assignments.
+a sequent.  What an occurrence needs to take a pattern is decided once
+(`_need`): its kind (an atom for p?, nothing for A), or its shape
+(`core.Formula.shape`) when the first child needs a kind (`imp/atom` for
+p? -> A).  `match_conclusion` and `axiom_instance` share one loop
+(`_instances`), which first skips any schema with a side that needs what
+no member of the sequent side is (`Side.kinds`; a search reads the
+sequent's kinds and shapes once per node, `sequent_kinds`).  Within a
+schema the formula patterns of both sides are placed first, most specific
+first (`MetaSequent.plan`: p? -> A before p?, a metavariable already bound
+found by its occurrences), and the remainder, the boxed binding and the
+context binding are built once per complete placement.  The instance
+order is nevertheless the one of trying the patterns in written order,
+antecedent first, each on every remaining occurrence in canonical position
+order: placements are re-sorted into that order when the plan differs from
+it.  So `match_conclusion` lists instances in rule order, then
+principal-occurrence order, with the same assignments.
 
 All built-in rules are additive: contexts are repeated verbatim across
 premises, so matching a conclusion never splits a context between two plain
@@ -82,24 +81,22 @@ class Side:
 
     @cached_property
     def kinds(self) -> frozenset:
-        """The kinds and shapes a matched multiset must contain: `atom` for
-        p?, the pattern's own kind for a connective or constant, none for A,
-        and instead the shape (`core.Formula.shape`) when the first child
-        needs a kind too: p? -> A needs `imp/atom`, (A & B) & C `and/and`,
-        A -> B only `imp`."""
-        return frozenset(map(_need_shape, self.pats)) - {None}
+        """The kinds and shapes a matched side must contain (`_need`)."""
+        return frozenset(map(_need, self.pats)) - {None}
+
+
+_META_NEED = {core.FMETA: None, core.AMETA: core.ATOM}
 
 
 def _need(pat):
-    """The top-level kind an occurrence matching pat has (None: any)."""
-    return {core.FMETA: None, core.AMETA: core.ATOM}.get(pat.kind, pat.kind)
-
-
-def _need_shape(pat):
-    """The shape an occurrence matching pat has when its first child needs
-    a kind, else `_need(pat)`."""
-    inner = pat.kind in core.BINARY + core.UNARY and _need(pat.a)
-    return core.SHAPES[pat.kind, inner] if inner else _need(pat)
+    """The kind or shape an occurrence matching pat has (None: any): `atom`
+    for p?, the pattern's own kind for a connective or constant, and
+    instead its shape (`core.Formula.shape`) when the first child needs a
+    kind too: p? -> A needs `imp/atom`, (A & B) & C `and/and`, A -> B
+    only `imp`."""
+    k = pat.kind
+    inner = k in core.BINARY + core.UNARY and _META_NEED.get(pat.a.kind, pat.a.kind)
+    return core.SHAPES[k, inner] if inner else _META_NEED.get(k, k)
 
 
 def _decode(items, where) -> Side:
@@ -131,15 +128,14 @@ class MetaSequent:
     def plan(self):
         """The order in which matching places the formula patterns, and
         whether it differs from written order.  One entry per pattern:
-        (slot, side, pattern, its name if a bare metavariable, the kind an
-        occurrence needs, the kind its first child needs, whether that child
-        is a metavariable that a bare pattern on the same side also takes,
-        earlier slots on the same side); slots number the antecedent
-        patterns, then the succedent ones, in written order.  Most specific
-        first: patterns with a connective or constant at the top (which bind
-        the bare metavariables placed after them), then p?, then A; ties go
-        to the succedent (one formula wide in single-conclusion calculi),
-        then to written order."""
+        (slot, side, pattern, its name if a bare metavariable, its `_need`,
+        whether its first child is a metavariable that a bare pattern on the
+        same side also takes, earlier slots on the same side); slots number
+        the antecedent patterns, then the succedent ones, in written order.
+        Most specific first: patterns with a connective or constant at the
+        top (which bind the bare metavariables placed after them), then p?,
+        then A; ties go to the succedent (one formula wide in
+        single-conclusion calculi), then to written order."""
         na = len(self.ant.pats)
         pats = [(i, 0, p) for i, p in enumerate(self.ant.pats)]
         pats += [(na + i, 1, p) for i, p in enumerate(self.suc.pats)]
@@ -148,12 +144,11 @@ class MetaSequent:
         plan = []
         for slot, side, p in pats:
             var = p.a if p.kind in (core.AMETA, core.FMETA) else None
-            child = p.a if p.kind in core.BINARY + core.UNARY else None
-            inner = _need(child) if child is not None else None
-            shared = (child is not None and child.kind in (core.AMETA, core.FMETA)
-                      and child in (self.ant, self.suc)[side].pats)
+            shared = (p.kind in core.BINARY + core.UNARY
+                      and p.a.kind in (core.AMETA, core.FMETA)
+                      and p.a in (self.ant, self.suc)[side].pats)
             others = tuple(e[0] for e in plan if e[1] == side)
-            plan.append((slot, side, p, var, _need(p), inner, shared, others))
+            plan.append((slot, side, p, var, _need(p), shared, others))
         order = [e[0] for e in plan]
         return tuple(plan), order != sorted(order)
 
@@ -250,14 +245,6 @@ class Calculus:
                  for r in rules]
         return Calculus(self.name, self.mode, axioms, rules, None, True)
 
-    @cached_property
-    def shaped(self):
-        """(antecedent, succedent): the kinds of the schema patterns that
-        need a shape (`Side.kinds`)."""
-        sides = [(r.conclusion.ant, r.conclusion.suc) for r in self.axioms + self.rules]
-        return tuple(frozenset(p.kind for pair in sides for p in pair[i].pats
-                               if _need_shape(p) != _need(p)) for i in (0, 1))
-
     def rule(self, name) -> RuleSchema:
         for r in self.rules:
             if r.name == name:
@@ -336,15 +323,8 @@ def _kept(prem: MetaSequent, conc: MetaSequent, multi: bool) -> MetaSequent:
 def match_formula(pat: Formula, f: Formula, asg):
     """Extend assignment so that pat instantiates to f, or return None."""
     k = pat.kind
-    if k == core.FMETA:
-        bound = asg.get(pat.a)
-        if bound is None:
-            asg = dict(asg)
-            asg[pat.a] = f
-            return asg
-        return asg if bound is f else None
-    if k == core.AMETA:
-        if f.kind != core.ATOM:
+    if k == core.FMETA or k == core.AMETA:
+        if k == core.AMETA and f.kind != core.ATOM:
             return None
         bound = asg.get(pat.a)
         if bound is None:
@@ -384,17 +364,19 @@ def _place(plan, rows, j, asg, pos, out, members):
     """Append to out every placement of the patterns plan[j:] on distinct
     occurrences, as (positions in slot order, assignment), in plan order.
     pos holds the positions placed so far, members per side the ids of its
-    members once a shared child (`MetaSequent.plan`) needs them: an
-    occurrence whose shared child is not a member cannot take the pattern,
-    so it is skipped before `match_formula`.  A bound metavariable finds its
-    occurrences by `in` and `index` on the row, which compare by identity
-    first.  A module function rather than a closure that calls itself: such
-    a closure is a reference cycle per call, and collecting those made
-    search on small sequents a quarter slower."""
+    members once a shared child (`MetaSequent.plan`) needs them.  An
+    occurrence is skipped before `match_formula` when neither its kind nor
+    its shape is the pattern's need (exact: kinds and shapes are disjoint
+    strings and a leaf's shape is its kind), or when its shared child is
+    not a member.  A bound metavariable finds its occurrences by `in` and
+    `index` on the row, which compare by identity first.  A module function
+    rather than a closure that calls itself: such a closure is a reference
+    cycle per call, and collecting those made search on small sequents a
+    quarter slower."""
     if j == len(plan):
         out.append((tuple(pos), asg))
         return
-    slot, side, pat, var, need, inner, shared, others = plan[j]
+    slot, side, pat, var, need, shared, others = plan[j]
     row = rows[side]
     f = asg.get(var) if var is not None else None
     if f is not None:
@@ -413,8 +395,7 @@ def _place(plan, rows, j, asg, pos, out, members):
         if ids is None:
             ids = members[side] = set(map(id, row))
     for i, g in enumerate(row):
-        if need is not None and (g.kind != need
-                                 or inner is not None and g.a.kind != inner):
+        if need is not None and g.kind != need and g.shape != need:
             continue
         if shared and id(g.a) not in ids:
             continue
@@ -521,33 +502,31 @@ def _instances(schemas, s: Sequent, kinds):
 def match_conclusion(calc: Calculus, s: Sequent, kinds=None):
     """All rule instances of calc whose conclusion is s, in deterministic
     order: rule order, then principal-occurrence order.  kinds, when
-    given, is `sequent_kinds(calc, s)`."""
-    return list(_instances(calc.rules, s, kinds or sequent_kinds(calc, s)))
+    given, is `sequent_kinds(s)`."""
+    return list(_instances(calc.rules, s, kinds or sequent_kinds(s)))
 
 
 def axiom_instance(calc: Calculus, s: Sequent, kinds=None):
     """The first axiom instance whose conclusion is s, else None.  kinds,
-    when given, is `sequent_kinds(calc, s)`."""
-    return next(_instances(calc.axioms, s, kinds or sequent_kinds(calc, s)), None)
+    when given, is `sequent_kinds(s)`."""
+    return next(_instances(calc.axioms, s, kinds or sequent_kinds(s)), None)
 
 
-def sequent_kinds(calc: Calculus, s: Sequent):
-    """The kinds of the members on each side of s, and their shapes too on
-    a side that holds a kind in `calc.shaped`: what `MetaSequent.admits`
-    reads.  A search computes them once per node."""
-    shaped = calc.shaped
-    return _side_kinds(s.ant.items, shaped[0]), _side_kinds(s.suc.items, shaped[1])
+def sequent_kinds(s: Sequent):
+    """The kinds and shapes of the members on each side of s: what
+    `MetaSequent.admits` reads.  A search computes them once per node."""
+    return _side_kinds(s.ant.items), _side_kinds(s.suc.items)
 
 
-def _side_kinds(items, shaped):
-    kinds = set(map(_kind, items))
-    if not kinds.isdisjoint(shaped):
-        kinds.update(map(_shape, items))
-    return kinds
+def _side_kinds(items):
+    """One pass reads the shapes; the kinds follow from the distinct ones."""
+    shapes = set(map(_shape, items))
+    return shapes.union(map(_SHAPE_KIND.get, shapes, shapes))
 
 
-_kind = attrgetter("kind")
 _shape = attrgetter("shape")
+# a compound shape's kind; a leaf's shape is its kind
+_SHAPE_KIND = {shape: k for (k, _), shape in core.SHAPES.items()}
 
 
 def is_instance_finite(calc: Calculus):

@@ -25,7 +25,8 @@ from .proofio import (emit_derivation, emit_nd, load_derivation, load_hilbert,
                       load_nd)
 from .prover import (SearchBudget, check_derivation, decide, prove,
                      prove_with_cut)
-from .syntax import ParseError, parse_calculus, parse_formula, parse_sequent, render_formula
+from .syntax import (ParseError, SourceSpan, parse_calculus, parse_formula,
+                     parse_sequent, render_formula)
 from .uniform import classical_uniform, ipc_uniform, verify_uniform
 
 
@@ -100,9 +101,11 @@ def cmd_check(args):
 def cmd_interpolate(args):
     if args.partition:
         calc = _load_calculus(args.calculus)
-        gamma_text, sep, rest = _read_arg(args.partition).partition(";")
+        text = _read_arg(args.partition)
+        gamma_text, sep, rest = text.partition(";")
         if not sep:
-            raise ParseError("partition needs 'Gamma ; Pi => Delta'", None)
+            raise ParseError("partition needs 'Gamma ; Pi => Delta'",
+                             SourceSpan(0, len(text)), text)
         gamma = FMultiset(parse_sequent(gamma_text + " =>").ant)
         pis = parse_sequent(rest)
         split = SplitAnt(gamma, pis.ant, pis.suc)
@@ -137,8 +140,7 @@ def cmd_interpolate(args):
 def cmd_uinterp(args):
     text = _read_arg(args.target)
     target = parse_sequent(text) if "=>" in text else parse_formula(text)
-    logic = args.logic.upper()
-    if logic == "CPC":
+    if args.logic == "cpc":
         u = classical_uniform(target, args.atom)
         calc = builtin("G3cp")
     else:
@@ -231,6 +233,10 @@ def cmd_gen_corpus(args):
     return 0
 
 
+# --logic of interpolate and uinterp, case-insensitive
+_LOGIC = {"type": str.lower, "choices": ("cpc", "ipc"), "default": "ipc"}
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="proofkit",
                                  description="sequent-calculus workbench")
@@ -259,7 +265,7 @@ def build_parser():
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("interpolate", help="Craig interpolation")
-    p.add_argument("--logic", default="IPC", help="cpc | ipc (formula mode)")
+    p.add_argument("--logic", **_LOGIC, help="the logic in formula mode")
     p.add_argument("--calculus", default="G4ip")
     p.add_argument("--partition", help="'Gamma ; Pi => Delta' sequent split")
     p.add_argument("--emit", help="write certificate derivations to PREFIX.{left,right}.drv")
@@ -267,7 +273,7 @@ def build_parser():
     p.set_defaults(fn=cmd_interpolate)
 
     p = sub.add_parser("uinterp", help="uniform interpolants")
-    p.add_argument("--logic", default="IPC", help="cpc | ipc")
+    p.add_argument("--logic", **_LOGIC)
     p.add_argument("--atom", required=True)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--psi-bound", type=int, default=6)

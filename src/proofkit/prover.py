@@ -257,7 +257,7 @@ class _Search:
             self.stats.nodes += 1
             if self.stats.nodes > self.budget.max_nodes:
                 raise _Budget()
-            kinds = sequent_kinds(self.searched, s)
+            kinds = sequent_kinds(s)
             ax = axiom_instance(self.searched, s, kinds)
             if ax is not None:
                 cache.proved[s] = self._derive(s, ax, ())
@@ -309,7 +309,7 @@ class _Search:
         if self.stats.nodes > self.budget.max_nodes:
             raise _Budget()
 
-        kinds = sequent_kinds(self.searched, s)
+        kinds = sequent_kinds(s)
         ax = axiom_instance(self.searched, s, kinds)
         if ax is not None:
             cache.proved[s] = self._derive(s, ax, ())

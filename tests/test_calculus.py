@@ -305,9 +305,11 @@ rule R| : G => A | B <- G => A
 
 
 def top_admits(rule, s):
-    """No side of rule's conclusion needs a top-level kind s lacks."""
+    """No side of rule's conclusion needs a top-level kind s lacks: `atom`
+    for p?, none for A, the pattern's own kind otherwise."""
     c = rule.conclusion
-    return all({calculus._need(p) for p in side.pats} - {None} <= {f.kind for f in ms}
+    top = {core.FMETA: None, core.AMETA: core.ATOM}
+    return all({top.get(p.kind, p.kind) for p in side.pats} - {None} <= {f.kind for f in ms}
                for side, ms in ((c.ant, s.ant), (c.suc, s.suc)))
 
 
@@ -395,7 +397,7 @@ class TestConclusionParity:
         # kinds are present
         skipped = {r.name for s in seqs for r in calc.rules
                    if top_admits(r, s)
-                   and not r.conclusion.admits(calculus.sequent_kinds(calc, s))}
+                   and not r.conclusion.admits(calculus.sequent_kinds(s))}
         assert skipped == {"L&&", "L[]p->", "LT->", "R|&"}
 
 
@@ -414,12 +416,18 @@ class TestShapes:
         assert (core.imp(p, q).shape, core.conj(core.Top, p).shape) == ("imp/atom", "and/top")
         assert (p.shape, core.Bot.shape, core.fmeta("A").shape) == ("atom", "bot", "fmeta")
 
-    def test_shaped_kinds_come_from_the_schemas(self):
-        assert builtin("G4ip").shaped == ({"imp"}, set())
-        assert builtin("G4LL").shaped == ({"imp"}, set())
-        assert builtin("G3cp").shaped == (set(), set())
-        # []p? in L[]p-> needs box/atom
-        assert from_document(parse_calculus(NESTED_USER)).shaped == ({"and", "box", "imp"}, {"or"})
+    def test_side_kinds_hold_kinds_and_shapes(self):
+        def kinds(calc, name):
+            c = calc.rule(name).conclusion
+            return c.ant.kinds, c.suc.kinds
+
+        g4ip = builtin("G4ip")
+        assert kinds(g4ip, "Lp->") == ({"atom", "imp/atom"}, set())
+        assert kinds(g4ip, "L->->") == ({"imp/imp"}, set())
+        assert kinds(builtin("G3cp"), "L->") == ({"imp"}, set())
+        # []p? in L[]p-> needs box/atom, and its []p? -> A imp/box
+        nested = from_document(parse_calculus(NESTED_USER))
+        assert kinds(nested, "L[]p->") == ({"box/atom", "imp/box"}, set())
 
 
 def reference_instantiate(ms, asg):

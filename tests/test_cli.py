@@ -79,6 +79,21 @@ class TestInterpolate:
                               "p & q ; => q | r")
         assert code == 0 and "verified: true" in out
 
+    def test_partition_without_separator_is_usage(self, capsys):
+        code, _, err = invoke(capsys, "interpolate", "--partition", "p => p")
+        assert code == 2
+        assert "partition needs 'Gamma ; Pi => Delta' at 0..6 in 'p => p'" in err
+
+    @pytest.mark.parametrize("logic", ["ik", "xyz"])
+    def test_unknown_logic_is_usage(self, capsys, logic):
+        code, out, err = invoke(capsys, "interpolate", "--logic", logic, "p -> p")
+        assert code == 2 and "invalid choice" in err and not out
+
+    def test_logic_is_case_insensitive(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "structured", "interpolate",
+                              "--logic", "CPC", "(p & q) -> (q | r)")
+        assert code == 0 and "logic: cpc" in out
+
 
 class TestUinterp:
     def test_sequent_mode(self, capsys):
@@ -97,6 +112,17 @@ class TestUinterp:
     def test_ipc_formula(self, capsys):
         code, out, _ = invoke(capsys, "--format", "structured", "uinterp",
                               "--logic", "ipc", "--atom", "p", "p | q")
+        assert code == 0 and "forall: q" in out
+
+    @pytest.mark.parametrize("logic", ["ik", "xyz"])
+    def test_unknown_logic_is_usage(self, capsys, logic):
+        code, out, err = invoke(capsys, "uinterp", "--logic", logic,
+                                "--atom", "p", "p -> q")
+        assert code == 2 and "invalid choice" in err and not out
+
+    def test_logic_is_case_insensitive(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "structured", "uinterp",
+                              "--logic", "CPC", "--atom", "p", "p => q")
         assert code == 0 and "forall: q" in out
 
 
