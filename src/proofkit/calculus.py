@@ -7,8 +7,9 @@ one boxed multiset variable ([]G).  Everything downstream reads those fields.
 
 A rule is a schema `S1 ... Sn / S` (`RuleSchema`), and an axiom is the case
 n = 0: `Calculus.axioms` holds premise-free schemas, so one instance type
-(`RuleInstance`: schema, assignment, premises, conclusion) records how an
-axiom or a rule closes a sequent.
+(`RuleInstance`: schema, assignment, conclusion, premises instantiated on
+first read) records how an axiom or a rule closes a sequent.  A rule with a
+premise metavariable its conclusion lacks (`RuleSchema.fresh`) has none.
 
 Matching (`match_metasequent`) finds every instance of a schema sequent in
 a sequent.  What an occurrence needs to take a pattern is decided once
@@ -179,18 +180,41 @@ class RuleSchema:
     conclusion: MetaSequent
     invertible: frozenset = frozenset()
 
+    @cached_property
+    def fresh(self) -> tuple:
+        """The metavariables of the first premise that has any the
+        conclusion lacks, sorted, else ().  Such a rule has no instance."""
+        conc = self.conclusion.ant.metavars() | self.conclusion.suc.metavars()
+        for prem in self.premises:
+            missing = (prem.ant.metavars() | prem.suc.metavars()) - conc
+            if missing:
+                return tuple(sorted(missing))
+        return ()
+
     def __repr__(self):
         prem = " ; ".join(repr(p) + " !" * (i in self.invertible)
                           for i, p in enumerate(self.premises))
         return f"{self.name}: {self.conclusion!r}" + (f" <- {prem}" if prem else "")
 
 
-@dataclass(frozen=True, slots=True)
 class RuleInstance:
-    rule: RuleSchema
-    assignment: dict
-    premises: tuple        # tuple[Sequent]
-    conclusion: Sequent
+    """rule under assignment, closing the sequent conclusion.  Its premises
+    are instantiated when first read, then kept (or passed in), so an
+    instance the search never tries costs no premise."""
+
+    __slots__ = ("rule", "assignment", "conclusion", "_premises")
+
+    def __init__(self, rule, assignment, conclusion, premises=None):
+        self.rule = rule
+        self.assignment = assignment
+        self.conclusion = conclusion
+        self._premises = premises
+
+    @property
+    def premises(self) -> tuple:
+        if self._premises is None:
+            self._premises = tuple(instantiate(p, self.assignment) for p in self.rule.premises)
+        return self._premises
 
     def __repr__(self):
         return f"<{self.rule.name} instance at {self.conclusion!r}>"
@@ -489,14 +513,10 @@ def _instances(schemas, s: Sequent, kinds):
     """Yield the instances of schemas whose conclusion is s: schema order,
     then principal-occurrence order."""
     for rule in schemas:
-        if not rule.conclusion.admits(kinds):
+        if rule.fresh or not rule.conclusion.admits(kinds):
             continue
         for asg in match_metasequent(rule.conclusion, s):
-            try:
-                premises = tuple(instantiate(p, asg) for p in rule.premises)
-            except KeyError:
-                continue   # premise metavariable absent from the conclusion
-            yield RuleInstance(rule, asg, premises, s)
+            yield RuleInstance(rule, asg, s)
 
 
 def match_conclusion(calc: Calculus, s: Sequent, kinds=None):
@@ -532,18 +552,11 @@ _SHAPE_KIND = {shape: k for (k, _), shape in core.SHAPES.items()}
 def is_instance_finite(calc: Calculus):
     """True iff every rule's premise metavariables occur in its conclusion.
 
-    Returns (ok, offenders); when ok, backward matching yields finitely many
-    instances per sequent because every premise is determined by the
-    conclusion match.
+    Returns (ok, offenders), an offender (rule name, `RuleSchema.fresh` as
+    a list); when ok, backward matching yields finitely many instances per
+    sequent because every premise is determined by the conclusion match.
     """
-    offenders = []
-    for rule in calc.rules:
-        conc_vars = rule.conclusion.ant.metavars() | rule.conclusion.suc.metavars()
-        for prem in rule.premises:
-            missing = (prem.ant.metavars() | prem.suc.metavars()) - conc_vars
-            if missing:
-                offenders.append((rule.name, sorted(missing)))
-                break
+    offenders = [(r.name, list(r.fresh)) for r in calc.rules if r.fresh]
     return (not offenders, offenders)
 
 

@@ -17,7 +17,7 @@ from .core import FMultiset, Sequent, SplitAnt, atoms
 from .calculus import builtin, builtin_names, from_document
 from .classify import check_terminating, classify_calculus, is_focused_axiom
 from .corpus import formulas as corpus_formulas, sequents as corpus_sequents
-from .interpolation import (InterpolationProblem, craig_interpolate,
+from .interpolation import (InterpolationProblem, NotProvable, craig_interpolate,
                             formula_interpolant, verify_certificate)
 from .hilbert import check_hilbert
 from .nd import check_nd, find_detours, normalize, last_rule_kind
@@ -126,12 +126,19 @@ def cmd_interpolate(args):
                 pairs.append((f"written-{side}", path))
         _emit(args, pairs, f"interpolant: {render_formula(cert.alpha)}")
         return 0 if not bad else 1
+    if args.formula is None:
+        print("error: interpolate needs a formula or --partition", file=sys.stderr)
+        return 2
     f = parse_formula(_read_arg(args.formula))
     try:
         alpha = formula_interpolant(args.logic, f)
-    except Exception as e:
-        print(f"error: {e}", file=sys.stderr)
+    except NotProvable:
+        _emit(args, [("logic", args.logic), ("provable", "false")],
+              f"{render_formula(f)} is not provable in {args.logic}")
         return 1
+    except ValueError as e:      # not an implication
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     _emit(args, [("logic", args.logic), ("interpolant", render_formula(alpha))],
           f"interpolant: {render_formula(alpha)}")
     return 0

@@ -6,7 +6,9 @@ recursion is a decision procedure.  For the rest the engine keeps the current
 branch and fails on repeats; refutations computed below a repeat hit are not
 cached, so cached refutations always come from exhaustive subsearches.
 A sequent's derivation is built once, when it is proved, from the derivations
-already stored for its premises; a provable query only looks it up.
+already stored for its premises.  A query whose root (the sequent searched:
+its support form when set-reduced) is cached returns before any search is
+set up, with 0 nodes; an instance's premises are built when first tried.
 When a premise a rule declares invertible (`RuleSchema.invertible`) fails
 exhaustively, the conclusion is refuted at once and its remaining instances
 are not tried.  Instances are still tried in `match_conclusion` order, so a
@@ -193,12 +195,8 @@ def _support(s: Sequent) -> Sequent:
 
 class _Search:
     def __init__(self, calc, budget=None, cache=None, cut_pool=None):
-        if cache is not None and cache.calc is not calc:
-            raise ValueError(f"the cache belongs to {cache.calc.name}, not {calc.name}")
         self.calc = calc
         self.searched = searched = calc.searched
-        # derivations found in a G3 form are rewritten into calc's rules
-        self.pad = _padded if searched is calc else self._reshaped
         self.budget = budget or SearchBudget()
         self.cache = cache if cache is not None else ProverCache(calc)
         self.cut_pool = list(dict.fromkeys(cut_pool)) if cut_pool else None
@@ -220,29 +218,23 @@ class _Search:
             for phi in self.cut_pool:
                 asg = {"G": s.ant, "A": phi, "D": s.suc}
                 premises = tuple(instantiate(p, asg) for p in self.cut_rule.premises)
-                out.append(RuleInstance(self.cut_rule, asg, premises, s))
+                out.append(RuleInstance(self.cut_rule, asg, s, premises))
         return out
 
     # -- search --------------------------------------------------------------
 
-    def solve(self, s: Sequent):
-        """Return (provable, absolute); absolute means the subsearch was
-        exhaustive (no repeat hit, no depth cut)."""
-        if self.set_reduce:
-            s = _support(s)
+    def solve(self, root: Sequent):
+        """Return (provable, absolute) for root, a support sequent when
+        set-reduced; absolute means the subsearch was exhaustive."""
         if self.saturate:
-            return self._saturate(s), True
-        return self._solve(s, self.budget.max_depth)
+            return self._saturate(root), True
+        return self._solve(root, self.budget.max_depth)
 
     def _saturate(self, root: Sequent) -> bool:
         """Decide by saturating the finite space of reachable support
         sequents bottom-up; sound and refutation-complete because weakening
         and contraction are admissible in the calculi this runs for."""
         cache = self.cache
-        if root in cache.proved:
-            return True
-        if root in cache.refuted:
-            return False
         entries = {}     # sequent -> list[(inst, support premises)]
         waiting = {}     # premise -> list[(conclusion, entry idx)]
         missing = {}     # (conclusion, entry idx) -> unproved premises
@@ -326,13 +318,14 @@ class _Search:
         seen_premises = set()
         try:
             for inst in self.instances(s, kinds):
-                if inst.premises in seen_premises:
+                premises = inst.premises
+                if premises in seen_premises:
                     continue
-                seen_premises.add(inst.premises)
+                seen_premises.add(premises)
                 ok_all = True
                 abs_all = True
                 prems = []
-                for i, p in enumerate(inst.premises):
+                for i, p in enumerate(premises):
                     if self.set_reduce:
                         p = _support(p)
                     ok, ab = self._solve(p, depth_left - 1)
@@ -369,7 +362,7 @@ class _Search:
         for p, p2 in zip(inst.premises, prems):
             child = proved[p2]
             if p2 is not p:
-                child = self.pad(child, p)
+                child = _pad(self.calc, child, p)
             children.append(child)
         if self.searched is self.calc:
             return Derivation(s, inst.rule.name, inst.assignment, children)
@@ -385,31 +378,38 @@ class _Search:
             elif side == 0 or self.calc.mode == "multi":
                 kept = FMultiset(subst_pattern(pat, asg) for pat in half.pats)
                 asg[half.ctx] = asg[half.ctx].union(kept)
-        return self._reshaped(Derivation(instantiate(conc, asg), rule.name, asg, children), s)
+        return _reshaped(self.calc, Derivation(instantiate(conc, asg), rule.name, asg, children), s)
 
-    def build(self, s: Sequent) -> Derivation:
-        """The stored derivation of the proved s, padded back to s."""
-        target = _support(s) if self.set_reduce else s
-        d = self.cache.proved[target]
-        return d if target is s else self.pad(d, s)
+    def build(self, s: Sequent, root: Sequent) -> Derivation:
+        """The stored derivation of the proved root of s, padded back to s."""
+        d = self.cache.proved[root]
+        return d if root is s else _pad(self.calc, d, s)
 
-    def _reshaped(self, d: Derivation, s: Sequent) -> Derivation:
-        """d under calc's contractions and weakenings that turn its
-        conclusion into s, which holds each formula of it at least once."""
-        t = d.conclusion
-        for side, (have, want) in enumerate(((t.ant, s.ant), (t.suc, s.suc))):
-            for f in have.difference(want):
-                d = self._step("C", side, f, d)
-            for f in want.difference(have):
-                d = self._step("W", side, f, d)
-        return d
 
-    def _step(self, kind, side, f: Formula, child: Derivation) -> Derivation:
-        """child under calc's weakening or contraction rule on side, with
-        principal f."""
-        rule, var = self.calc.structural[kind, side]
-        asg = next(match_metasequent(rule.premises[0], child.conclusion, {var: f}))
-        return Derivation(instantiate(rule.conclusion, asg), rule.name, asg, (child,))
+def _pad(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
+    """d, found for the support form of s, padded back to s: woven into
+    each node, or under calc's structural rules when searched as G3."""
+    return _padded(d, s) if calc.searched is calc else _reshaped(calc, d, s)
+
+
+def _reshaped(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
+    """d under calc's contractions and weakenings that turn its conclusion
+    into s, which holds each formula of it at least once."""
+    t = d.conclusion
+    for side, (have, want) in enumerate(((t.ant, s.ant), (t.suc, s.suc))):
+        for f in have.difference(want):
+            d = _step(calc, "C", side, f, d)
+        for f in want.difference(have):
+            d = _step(calc, "W", side, f, d)
+    return d
+
+
+def _step(calc: Calculus, kind, side, f: Formula, child: Derivation) -> Derivation:
+    """child under calc's weakening or contraction rule on side, with
+    principal f."""
+    rule, var = calc.structural[kind, side]
+    asg = next(match_metasequent(rule.premises[0], child.conclusion, {var: f}))
+    return Derivation(instantiate(rule.conclusion, asg), rule.name, asg, (child,))
 
 
 @lru_cache(maxsize=4)
@@ -468,15 +468,28 @@ def _padded(d: Derivation, s: Sequent) -> Derivation:
 # ---------------------------------------------------------------------------
 # public entry points
 
-def _run(search: _Search, s: Sequent) -> ProofSearchResult:
-    if search.calc.mode == "single" and not s.is_single_conclusion():
-        raise ValueError(f"{search.calc.name} is single-conclusion; got {s!r}")
+def _run(calc, s: Sequent, budget=None, cache=None, cut_pool=None) -> ProofSearchResult:
+    """Answer a root the cache holds with no search (0 nodes, exhaustive),
+    else search from it."""
+    if cache is not None and cache.calc is not calc:
+        raise ValueError(f"the cache belongs to {cache.calc.name}, not {calc.name}")
+    if calc.mode == "single" and not s.is_single_conclusion():
+        raise ValueError(f"{calc.name} is single-conclusion; got {s!r}")
+    # the sequent searched and cached: s, or its support form
+    root = _support(s) if calc.searched.wc_admissible else s
+    if cache is not None:
+        d = cache.proved.get(root)
+        if d is not None:
+            return ProofSearchResult("provable", d if root is s else _pad(calc, d, s), True)
+        if root in cache.refuted:
+            return ProofSearchResult("unprovable", None, True)
+    search = _Search(calc, budget, cache, cut_pool)
     try:
-        ok, absolute = search.solve(s)
+        ok, absolute = search.solve(root)
     except _Budget:
         return ProofSearchResult("budget", stats=search.stats)
     if ok:
-        return ProofSearchResult("provable", search.build(s), True, search.stats)
+        return ProofSearchResult("provable", search.build(s, root), True, search.stats)
     return ProofSearchResult("unprovable", None, absolute, search.stats)
 
 
@@ -484,7 +497,7 @@ def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
           cache: ProverCache | None = None) -> ProofSearchResult:
     """Backward proof search; sound, and complete for terminating calculi.
     A cache must belong to calc (ValueError otherwise)."""
-    return _run(_Search(calc, budget, cache), s)
+    return _run(calc, s, budget, cache)
 
 
 def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
@@ -498,7 +511,7 @@ def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
         cut_pool = sorted(pool, key=Formula.sort_key)
     if not cut_pool:
         return prove(calc, s, budget)
-    return _run(_Search(calc, budget or SearchBudget(max_depth=64), None, cut_pool), s)
+    return _run(calc, s, budget or SearchBudget(max_depth=64), None, cut_pool)
 
 
 _LOGIC_CALCULI = {"CPC": "G3cp", "IPC": "G4ip", "IK": "G4iK", "IKD": "G4iKD", "LL": "G4LL"}

@@ -29,6 +29,7 @@ All produced formulas are constant-folded.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 
 from . import core
 from .core import (Formula, FMultiset, Sequent, Top, Bot, atom, atoms,
@@ -348,9 +349,15 @@ def _psi_corpus(calc, names: tuple, psi_bound: int, cache: ProverCache, holds) -
     if reps is None:
         psis = list(corpus_formulas(names, psi_bound))
         if any(calc == builtin(n) for n in builtin_names()):
-            reps = []
+            # formulas calc proves equivalent are classically equivalent
+            # (the corpus is modal-free): compare within a truth table
+            valuations = [dict(zip(names, v)) for v in product((Top, Bot), repeat=len(names))]
+            reps, by_table = [], {}
             for psi in psis:
-                if not any(holds([psi], [r]) and holds([r], [psi]) for r in reps):
+                table = tuple(fold_constants(apply_subst(v, psi)) for v in valuations)
+                group = by_table.setdefault(table, [])
+                if not any(holds([psi], [r]) and holds([r], [psi]) for r in group):
+                    group.append(psi)
                     reps.append(psi)
         else:
             reps = psis

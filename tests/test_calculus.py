@@ -505,6 +505,41 @@ class TestInstanceFinite:
             "calculus W\naxiom Ax : p? => p?\nrule Odd : G => A <- G => B"))
         assert match_conclusion(calc, ps("=> p")) == []
 
+    def test_fresh_is_decided_per_schema(self):
+        calc = from_document(parse_calculus(
+            "calculus W\nrule Odd : G => A <- G => A ; G, C => B\n"
+            "rule Fine : G => A & B <- G => A ; G => B"))
+        odd, fine = calc.rules
+        assert odd.fresh == ("B", "C") and fine.fresh == ()
+        assert is_instance_finite(calc) == (False, [("Odd", ["B", "C"])])
+        # the conclusion matches, and the fresh rule still has no instance
+        assert [i.rule.name for i in match_conclusion(calc, ps("=> p & q"))] == ["Fine"]
+
+
+class TestPremisesOnDemand:
+    """An instance's premises, instantiated when first read, are the ones
+    instantiating every premise at match time gives."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_builtin_corpus(self, name):
+        calc = builtin(name)
+        weight, modal = PARITY_CORPORA[name]
+        found = 0
+        for s in corpus.sequents(("p", "q"), weight, calc.mode == "single", modal):
+            for inst in match_conclusion(calc, s):
+                eager = tuple(instantiate(ms, inst.assignment) for ms in inst.rule.premises)
+                assert inst.premises == eager and inst.premises is inst.premises, inst
+                found += 1
+        assert found
+
+    def test_passed_premises_are_kept(self):
+        calc = builtin("G3cp")
+        s = ps("p & q => q")
+        inst = match_conclusion(calc, s)[0]
+        given = (ps("p => p"),)
+        made = calculus.RuleInstance(inst.rule, inst.assignment, s, given)
+        assert made.premises is given and made.conclusion is s
+
 
 class TestRegistrationValidation:
     def test_multiplicative_split_rejected(self):

@@ -84,6 +84,25 @@ class TestInterpolate:
         assert code == 2
         assert "partition needs 'Gamma ; Pi => Delta' at 0..6 in 'p => p'" in err
 
+    def test_not_an_implication_is_usage(self, capsys):
+        code, out, err = invoke(capsys, "interpolate", "p")
+        assert code == 2 and "need an implication, got p" in err and not out
+
+    def test_no_formula_nor_partition_is_usage(self, capsys):
+        code, out, err = invoke(capsys, "interpolate")
+        assert code == 2 and not out
+        assert "interpolate needs a formula or --partition" in err
+        assert "AttributeError" not in err
+
+    @pytest.mark.parametrize("logic", ["ipc", "cpc"])
+    def test_unprovable_implication_is_a_negative_answer(self, capsys, logic):
+        code, out, err = invoke(capsys, "interpolate", "--logic", logic, "p -> q")
+        assert code == 1 and "p -> q is not provable in " + logic in out and not err
+
+    def test_unprovable_structured(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "structured", "interpolate", "p -> q")
+        assert code == 1 and "provable: false" in out
+
     @pytest.mark.parametrize("logic", ["ik", "xyz"])
     def test_unknown_logic_is_usage(self, capsys, logic):
         code, out, err = invoke(capsys, "interpolate", "--logic", logic, "p -> p")

@@ -337,6 +337,48 @@ class TestProve:
                 "p, p, p & p, q => p" + ("" if name == "G3ip" else ", p"))
 
 
+class TestRootHit:
+    """A root the cache holds is answered without a search: the first
+    answer again, with no node visited."""
+
+    @pytest.mark.parametrize("name", ["G4ip", "G3cp", "G1ip"])
+    def test_second_prove_repeats_the_first(self, name):
+        calc = builtin(name)
+        cache = ProverCache(calc)
+        single = calc.mode == "single"
+        seqs = list(corpus.sequents(("p", "q"), 4, single))[::7]
+        # duplicates on both sides, so that the answer is padded back
+        seqs += [ps("p & p, p & p, q => p"), ps("p, p => q"), ps("p, p -> q, p => q")]
+        if not single:
+            seqs += [ps("p, p => p, q, q"), ps("q, q => p, p")]
+        seen = {"provable": 0, "unprovable": 0}
+        for s in seqs:
+            first = prove(calc, s, cache=cache)
+            again = prove(calc, s, cache=cache)
+            assert again.stats.nodes == 0
+            assert (again.status, again.exhaustive) == (first.status, first.exhaustive) \
+                == (first.status, True)
+            assert again.derivation == first.derivation
+            if again.provable:
+                assert again.derivation.conclusion == s
+                assert check_derivation(calc, again.derivation) == []
+            seen[again.status] += 1
+        assert all(seen.values()), seen
+
+    def test_checks_run_before_the_lookup(self, g4ip, g3cp, g3ip):
+        s = ps("p => p")
+        cache = ProverCache(g4ip)
+        assert prove(g4ip, s, cache=cache).provable
+        with pytest.raises(ValueError, match="belongs to G4ip"):
+            prove(g3cp, s, cache=cache)
+        # G3ip searches support forms: "p => p" is the root of "p => p, p"
+        cache = ProverCache(g3ip)
+        assert prove(g3ip, s, cache=cache).provable
+        assert s in cache.proved
+        with pytest.raises(ValueError, match="single-conclusion"):
+            prove(g3ip, ps("p => p, p"), cache=cache)
+
+
 class TestDecide:
     def test_named_formulas(self):
         assert decide("CPC", pf("((p -> q) -> p) -> p"))
