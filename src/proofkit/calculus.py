@@ -8,8 +8,9 @@ one boxed multiset variable ([]G).  Everything downstream reads those fields.
 A rule is a schema `S1 ... Sn / S` (`RuleSchema`), and an axiom is the case
 n = 0: `Calculus.axioms` holds premise-free schemas, so one instance type
 (`RuleInstance`: schema, assignment, conclusion, premises instantiated on
-first read) records how an axiom or a rule closes a sequent.  A rule with a
-premise metavariable its conclusion lacks (`RuleSchema.fresh`) has none.
+first read) records how an axiom or a rule closes a sequent.  Matching starts
+from a schema's fixed bindings (`RuleSchema.fixed`); a rule with a premise
+metavariable neither they nor its conclusion bind (`RuleSchema.fresh`) has none.
 
 Matching (`match_metasequent`) finds every instance of a schema sequent in
 a sequent.  What an occurrence needs to take a pattern is decided once
@@ -173,18 +174,21 @@ class MetaSequent:
 class RuleSchema:
     """A rule S1 ... Sn / S; an axiom has no premises.  invertible holds the
     indexes of the premises declared invertible (`!` after the premise):
-    each is provable whenever the conclusion is."""
+    each is provable whenever the conclusion is.  fixed holds (metavariable,
+    formula) pairs bound before matching, such as Cut's cut formula."""
 
     name: str
     premises: tuple        # tuple[MetaSequent]
     conclusion: MetaSequent
     invertible: frozenset = frozenset()
+    fixed: tuple = ()
 
     @cached_property
     def fresh(self) -> tuple:
-        """The metavariables of the first premise that has any the
-        conclusion lacks, sorted, else ().  Such a rule has no instance."""
+        """The metavariables of the first premise that has any neither the
+        conclusion nor `fixed` binds, sorted, else ().  No instance then."""
         conc = self.conclusion.ant.metavars() | self.conclusion.suc.metavars()
+        conc |= {v for v, _ in self.fixed}
         for prem in self.premises:
             missing = (prem.ant.metavars() | prem.suc.metavars()) - conc
             if missing:
@@ -199,16 +203,16 @@ class RuleSchema:
 
 class RuleInstance:
     """rule under assignment, closing the sequent conclusion.  Its premises
-    are instantiated when first read, then kept (or passed in), so an
-    instance the search never tries costs no premise."""
+    are instantiated when first read, then kept, so an instance the search
+    never tries costs no premise."""
 
     __slots__ = ("rule", "assignment", "conclusion", "_premises")
 
-    def __init__(self, rule, assignment, conclusion, premises=None):
+    def __init__(self, rule, assignment, conclusion):
         self.rule = rule
         self.assignment = assignment
         self.conclusion = conclusion
-        self._premises = premises
+        self._premises = None
 
     @property
     def premises(self) -> tuple:
@@ -268,6 +272,13 @@ class Calculus:
         rules = [replace(r, premises=tuple(_kept(p, r.conclusion, multi) for p in r.premises))
                  for r in rules]
         return Calculus(self.name, self.mode, axioms, rules, None, True)
+
+    @cached_property
+    def contexts(self):
+        """{(is an axiom, name): (antecedent, succedent) context variables}
+        of each schema, None for a side without one."""
+        return {(not r.premises, r.name): (r.conclusion.ant.ctx, r.conclusion.suc.ctx)
+                for r in self.axioms + self.rules}
 
     def rule(self, name) -> RuleSchema:
         for r in self.rules:
@@ -515,7 +526,7 @@ def _instances(schemas, s: Sequent, kinds):
     for rule in schemas:
         if rule.fresh or not rule.conclusion.admits(kinds):
             continue
-        for asg in match_metasequent(rule.conclusion, s):
+        for asg in match_metasequent(rule.conclusion, s, dict(rule.fixed) if rule.fixed else None):
             yield RuleInstance(rule, asg, s)
 
 

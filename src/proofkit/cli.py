@@ -24,7 +24,7 @@ from .nd import check_nd, find_detours, normalize, last_rule_kind
 from .proofio import (emit_derivation, emit_nd, load_derivation, load_hilbert,
                       load_nd)
 from .prover import (SearchBudget, check_derivation, decide, prove,
-                     prove_with_cut)
+                     prove_with_cut, with_cut)
 from .syntax import (ParseError, SourceSpan, parse_calculus, parse_formula,
                      parse_sequent, render_formula)
 from .uniform import classical_uniform, ipc_uniform, verify_uniform
@@ -39,6 +39,10 @@ def _read_arg(text):
 
 
 def _load_calculus(name_or_path):
+    """A builtin or a .cal file, plus the Cut rule after `+cut`."""
+    base, plus, suffix = name_or_path.rpartition("+")
+    if plus and suffix.lower() == "cut":
+        return with_cut(_load_calculus(base))
     if name_or_path.endswith(".cal"):
         with open(name_or_path, encoding="utf-8") as fh:
             return from_document(parse_calculus(fh.read()))
@@ -77,7 +81,7 @@ def cmd_prove(args):
         pairs.append(("depth", result.derivation.depth()))
         if args.emit:
             with open(args.emit, "w", encoding="utf-8") as fh:
-                fh.write(emit_derivation(result.derivation, calc.name))
+                fh.write(emit_derivation(result.derivation, (with_cut(calc) if args.with_cut else calc).name))
             pairs.append(("written", args.emit))
     _emit(args, pairs, f"{s} : {result!r}")
     return 0 if result.provable else 1

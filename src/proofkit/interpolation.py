@@ -31,7 +31,7 @@ from .calculus import (Calculus, RuleSchema, Side, axiom_instance, builtin,
                        subst_pattern)
 from .classify import classify_rule, MODAL_D, MODAL_K, RIGHT
 from .prover import (Derivation, ProverCache, check_derivation, prove,
-                     shared_cache)
+                     shared_cache, witness)
 
 
 class NotAnAxiom(Exception):
@@ -141,8 +141,11 @@ class _Extractor:
             axiom = next(a for a in self.calc.axioms if a.name == node.rule)
             return _axiom_table(split, axiom, node.assignment)
         rule, lp, kind = self._shape(node.rule)
+        asg = node.assignment
+        if asg is None:                       # e.g. loaded from a .drv file
+            asg = witness(rule, node)
         if lp:
-            return self._lp_imp(node, gamma, *lp)
+            return self._lp_imp(node, asg, gamma, *lp)
         if not kind:
             raise UnsupportedRule(f"cannot interpolate across rule {rule.name!r}")
         if kind.kind in (MODAL_K, MODAL_D):
@@ -153,17 +156,17 @@ class _Extractor:
             return fconj_all(self.run(child, gamma) for child in node.children)
         if len(rule.conclusion.ant.pats) != 1:
             raise UnsupportedRule(f"{rule.name} has no single left principal")
-        principal = subst_pattern(rule.conclusion.ant.pats[0], node.assignment)
+        principal = subst_pattern(rule.conclusion.ant.pats[0], asg)
         if principal in node.conclusion.ant.difference(gamma):
             # part 1: everything the rule introduces stays on the P side
             return fconj_all(self.run(child, gamma) for child in node.children)
         if principal in gamma:
-            return self._left_part2(rule, node, gamma, principal)
+            return self._left_part2(rule, node, asg, gamma, principal)
         raise UnsupportedRule(f"principal of {rule.name} not found in the end-sequent")
 
     # -- helpers -------------------------------------------------------------
 
-    def _left_part2(self, rule, node, gamma, principal):
+    def _left_part2(self, rule, node, asg, gamma, principal):
         """Principal on the G side: rule formulas join G, chi-premises are
         interpolated with the split swapped, and the combinator is
         (/\\ betas) -> (\\/ alphas)."""
@@ -174,13 +177,12 @@ class _Extractor:
             if prem_ms.suc.pats:          # a chi-premise
                 betas.append(self.run(child, pi_part))
             else:
-                extra = [subst_pattern(p, node.assignment) for p in prem_ms.ant.pats]
+                extra = [subst_pattern(p, asg) for p in prem_ms.ant.pats]
                 alphas.append(self.run(child, gamma_rest.union(extra)))
         return fimp(fconj_all(betas), fdisj_all(alphas))
 
-    def _lp_imp(self, node, gamma, atom_var, formula_var):
+    def _lp_imp(self, node, asg, gamma, atom_var, formula_var):
         """The two nontrivial Lp-> cases give beta & p and p -> beta."""
-        asg = node.assignment
         patom, phi = asg[atom_var], asg[formula_var]
         prin = imp(patom, phi)
         pi = node.conclusion.ant.difference(gamma)
@@ -206,7 +208,8 @@ def craig_interpolate(problem: InterpolationProblem,
     marks its nodes, so the other partitions of the same derivation do not
     walk it again.  Its leaves are then read as checked: a leaf with a
     stored assignment takes its interpolant from its own axiom and
-    assignment, one without from `axiom_interpolant`."""
+    assignment, one without from `axiom_interpolant`; an inner node without
+    one under `prover.witness`."""
     calc = problem.calculus
     cache = cache or shared_cache(calc)
     defects = check_derivation(calc, problem.derivation)

@@ -14,25 +14,28 @@ exhaustively, the conclusion is refuted at once and its remaining instances
 are not tried.  Instances are still tried in `match_conclusion` order, so a
 provable sequent gets the derivation it would get without the pruning.
 
-The search runs in `Calculus.searched`, and what that calculus declares or
-implies picks the rest:
+The search reads nothing but `Calculus.searched`, its budget and its cache,
+and what that calculus declares or implies picks the rest:
 
   - `structural wc-admissible` (weakening and contraction depth-preserving
     admissible): search runs on support sequents (duplicates dropped on both
     sides) and found derivations are padded back to the original multisets.
-    When such a search is not terminating (no measure, or a cut pool) it
-    decides by saturating the finite space of reachable support sequents.
+    When such a search is not terminating (no measure) it decides by
+    saturating the finite space of reachable support sequents.
   - weakening and contraction rules (`Calculus.structural`, the G1
     calculi): search runs in the G3 form, decided by saturation as above,
     and each derivation found is rewritten into the calculus's own rules
     (contractions before a rule, weakenings above an axiom or a padded
     premise).
+
+Cut is data too: `prove_with_cut` searches the calculus given plus one Cut
+rule per cut formula (`RuleSchema.fixed`).
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from . import core
@@ -105,16 +108,37 @@ class Derivation:
             stack.extend(reversed(node.children))
 
     def __eq__(self, other):
-        return (isinstance(other, Derivation)
-                and self.conclusion == other.conclusion
-                and self.rule == other.rule
-                and self.children == other.children)
+        """Iterative, as is __hash__: equal subtrees, and only they, get
+        equal numbers."""
+        if not isinstance(other, Derivation):
+            return False
+        numbers = {}
+
+        def number(node, kids):
+            return numbers.setdefault((node.conclusion, node.rule, tuple(kids)), len(numbers))
+        return _fold(self, number) == _fold(other, number)
 
     def __hash__(self):
-        return hash((self.conclusion, self.rule, self.children))
+        return _fold(self, lambda node, hashes: hash((node.conclusion, node.rule, tuple(hashes))))
 
     def __repr__(self):
         return f"<{self.rule} derivation of {self.conclusion!r}, depth {self.depth()}>"
+
+
+def _fold(d: Derivation, f):
+    """f(node, results for its children) at d, computed bottom-up without
+    recursion; a subtree shared within d is visited once."""
+    done, stack = {}, [d]
+    while stack:
+        node = stack[-1]
+        todo = [c for c in node.children if id(c) not in done]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if id(node) not in done:
+            done[id(node)] = f(node, [done[id(c)] for c in node.children])
+    return done[id(d)]
 
 
 @dataclass
@@ -194,32 +218,19 @@ def _support(s: Sequent) -> Sequent:
 
 
 class _Search:
-    def __init__(self, calc, budget=None, cache=None, cut_pool=None):
+    def __init__(self, calc, budget=None, cache=None):
         self.calc = calc
         self.searched = searched = calc.searched
         self.budget = budget or SearchBudget()
         self.cache = cache if cache is not None else ProverCache(calc)
-        self.cut_pool = list(dict.fromkeys(cut_pool)) if cut_pool else None
-        self.terminating = searched.termination_measure is not None and not self.cut_pool
+        self.terminating = searched.termination_measure is not None
         self.set_reduce = searched.wc_admissible
         # loop-checked wc-admissible search: a subformula-closed space of
         # support sequents, decided by bottom-up saturation (a least
         # fixpoint, so refutations are exhaustive and cacheable)
         self.saturate = self.set_reduce and not self.terminating
-        self.cut_rule = cut_rule(calc.mode) if self.cut_pool else None
         self.stats = SearchStats()
         self.branch = set()
-
-    # -- instance enumeration ------------------------------------------------
-
-    def instances(self, s: Sequent, kinds):
-        out = match_conclusion(self.searched, s, kinds)
-        if self.cut_pool:
-            for phi in self.cut_pool:
-                asg = {"G": s.ant, "A": phi, "D": s.suc}
-                premises = tuple(instantiate(p, asg) for p in self.cut_rule.premises)
-                out.append(RuleInstance(self.cut_rule, asg, s, premises))
-        return out
 
     # -- search --------------------------------------------------------------
 
@@ -257,7 +268,7 @@ class _Search:
                 continue
             rows = []
             dedupe = set()
-            for inst in self.instances(s, kinds):
+            for inst in match_conclusion(self.searched, s, kinds):
                 prems = tuple(_support(p) for p in inst.premises)
                 if prems in dedupe:
                     continue
@@ -317,7 +328,7 @@ class _Search:
         absolute = True
         seen_premises = set()
         try:
-            for inst in self.instances(s, kinds):
+            for inst in match_conclusion(self.searched, s, kinds):
                 premises = inst.premises
                 if premises in seen_premises:
                     continue
@@ -331,9 +342,8 @@ class _Search:
                     ok, ab = self._solve(p, depth_left - 1)
                     abs_all = abs_all and ab
                     if not ok:
-                        # an invertible premise is unprovable, so is s; with
-                        # a cut pool that would take Cut to be admissible
-                        if ab and i in inst.rule.invertible and not self.cut_pool:
+                        # an invertible premise is unprovable, so is s
+                        if ab and i in inst.rule.invertible:
                             cache.refuted.add(s)
                             return False, True
                         ok_all = False
@@ -389,7 +399,7 @@ class _Search:
 def _pad(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
     """d, found for the support form of s, padded back to s: woven into
     each node, or under calc's structural rules when searched as G3."""
-    return _padded(d, s) if calc.searched is calc else _reshaped(calc, d, s)
+    return _padded(calc, d, s) if calc.searched is calc else _reshaped(calc, d, s)
 
 
 def _reshaped(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
@@ -430,47 +440,44 @@ def with_cut(calc: Calculus) -> Calculus:
                     calc.rules + [cut_rule(calc.mode)], None)
 
 
-def pad_derivation(d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Derivation:
-    """Weave extra context into every node.
+def pad_derivation(calc, d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Derivation:
+    """Weave extra context into every node of d, a derivation in calc.
 
     Valid for `structural wc-admissible` calculi, whose schemas all carry a
     plain antecedent context (and a succedent context when multi-conclusion),
-    so the surplus rides along in the context bindings G and D; any other
-    binding drops the stored assignment and the checker re-derives one.
+    so the surplus rides along in the context bindings that each node's own
+    schema names; a node whose schema has none drops its stored assignment.
     """
     if not extra_ant and not extra_suc:
         return d
-    conclusion = Sequent(d.conclusion.ant.union(extra_ant),
-                         d.conclusion.suc.union(extra_suc))
     asg = d.assignment
     if asg is not None:
         asg = dict(asg)
-        if extra_ant:
-            if isinstance(asg.get("G"), FMultiset):
-                asg["G"] = asg["G"].union(extra_ant)
-            else:
-                asg = None
-        if asg is not None and extra_suc:
-            if isinstance(asg.get("D"), FMultiset):
-                asg["D"] = asg["D"].union(extra_suc)
-            else:
-                asg = None
-    children = [pad_derivation(c, extra_ant, extra_suc) for c in d.children]
-    return Derivation(conclusion, d.rule, asg, children)
+        for ctx, extra in zip(calc.contexts[not d.children, d.rule], (extra_ant, extra_suc)):
+            if extra:
+                if ctx is None:
+                    asg = None
+                    break
+                asg[ctx] = asg[ctx].union(extra)
+    children = [pad_derivation(calc, child, extra_ant, extra_suc) for child in d.children]
+    c = d.conclusion
+    return Derivation(Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc)), d.rule, asg, children)
 
 
-def _padded(d: Derivation, s: Sequent) -> Derivation:
+def _padded(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
     """d, a derivation of the support form of s, padded back to s."""
-    return pad_derivation(d, s.ant.difference(d.conclusion.ant),
+    return pad_derivation(calc, d, s.ant.difference(d.conclusion.ant),
                           s.suc.difference(d.conclusion.suc))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
-def _run(calc, s: Sequent, budget=None, cache=None, cut_pool=None) -> ProofSearchResult:
-    """Answer a root the cache holds with no search (0 nodes, exhaustive),
-    else search from it."""
+def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
+          cache: ProverCache | None = None) -> ProofSearchResult:
+    """Backward proof search; sound, and complete for terminating calculi.
+    A cache must belong to calc (ValueError otherwise).  A root the cache
+    holds is answered with no search (0 nodes, exhaustive)."""
     if cache is not None and cache.calc is not calc:
         raise ValueError(f"the cache belongs to {cache.calc.name}, not {calc.name}")
     if calc.mode == "single" and not s.is_single_conclusion():
@@ -483,7 +490,7 @@ def _run(calc, s: Sequent, budget=None, cache=None, cut_pool=None) -> ProofSearc
             return ProofSearchResult("provable", d if root is s else _pad(calc, d, s), True)
         if root in cache.refuted:
             return ProofSearchResult("unprovable", None, True)
-    search = _Search(calc, budget, cache, cut_pool)
+    search = _Search(calc, budget, cache)
     try:
         ok, absolute = search.solve(root)
     except _Budget:
@@ -493,17 +500,12 @@ def _run(calc, s: Sequent, budget=None, cache=None, cut_pool=None) -> ProofSearc
     return ProofSearchResult("unprovable", None, absolute, search.stats)
 
 
-def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
-          cache: ProverCache | None = None) -> ProofSearchResult:
-    """Backward proof search; sound, and complete for terminating calculi.
-    A cache must belong to calc (ValueError otherwise)."""
-    return _run(calc, s, budget, cache)
-
-
 def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
                    budget: SearchBudget | None = None) -> ProofSearchResult:
     """Search in calc plus the (additive) Cut rule, cutformulas drawn from
-    the pool; the default pool is the subformulas of s."""
+    the pool; the default pool is the subformulas of s.  The calculus searched
+    has calc's axioms, its rules unmarked (marks presume Cut admissible), one
+    Cut per distinct pool formula, A fixed to it, and no measure."""
     if cut_pool is None:
         pool = set()
         for f in list(s.ant) + list(s.suc):
@@ -511,7 +513,10 @@ def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
         cut_pool = sorted(pool, key=Formula.sort_key)
     if not cut_pool:
         return prove(calc, s, budget)
-    return _run(calc, s, budget or SearchBudget(max_depth=64), None, cut_pool)
+    rules = [replace(r, invertible=frozenset()) for r in calc.rules]
+    rules += [replace(cut_rule(calc.mode), fixed=(("A", f),)) for f in dict.fromkeys(cut_pool)]
+    derived = Calculus(calc.name + "+Cut", calc.mode, calc.axioms, rules, None, calc.wc_admissible)
+    return prove(derived, s, budget or SearchBudget(max_depth=64))
 
 
 _LOGIC_CALCULI = {"CPC": "G3cp", "IPC": "G4ip", "IK": "G4iK", "IKD": "G4iKD", "LL": "G4LL"}
@@ -595,27 +600,29 @@ def check_derivation(calc: Calculus, d: Derivation):
 
 def _instance_ok(rule, node) -> bool:
     asg = node.assignment
-    if asg is not None:
-        try:
-            if instantiate(rule.conclusion, asg) != node.conclusion:
-                return False
-            return all(instantiate(p, asg) == c.conclusion
-                       for p, c in zip(rule.premises, node.children))
-        except KeyError:
+    if asg is None:
+        return witness(rule, node) is not None
+    try:
+        if instantiate(rule.conclusion, asg) != node.conclusion:
             return False
-    # no stored assignment: derive one from the premises, then check the
-    # conclusion (this also covers non-maximal boxed-context splits)
+        return all(instantiate(p, asg) == c.conclusion
+                   for p, c in zip(rule.premises, node.children))
+    except KeyError:
+        return False
+
+
+def witness(rule, node):
+    """An assignment under which node is an instance of rule, derived from
+    its children's conclusions first, then its own (this also covers
+    non-maximal boxed-context splits); None when there is none."""
     def chain(i, asg):
         if i == len(rule.premises):
-            for asg2 in match_metasequent(rule.conclusion, node.conclusion, asg):
-                yield asg2
+            yield from match_metasequent(rule.conclusion, node.conclusion, asg)
             return
         for asg1 in match_metasequent(rule.premises[i], node.children[i].conclusion, asg):
             yield from chain(i + 1, asg1)
 
-    for _ in chain(0, {}):
-        return True
-    return False
+    return next(chain(0, {}), None)
 
 
 # ---------------------------------------------------------------------------

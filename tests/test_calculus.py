@@ -1,15 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from proofkit import calculus, core, corpus, prover
 from proofkit.core import FMultiset, atom, conj, disj, imp, box
-from proofkit.calculus import (BadRuleShape, UnknownCalculus, builtin,
+from proofkit.calculus import (BadRuleShape, MetaSequent, UnknownCalculus, builtin,
                                builtin_names, match_conclusion,
                                axiom_instance, instantiate, match_formula,
                                match_metasequent, is_instance_finite,
                                from_document, subst_pattern)
-from proofkit.syntax import parse_calculus, parse_sequent as ps
+from proofkit.syntax import parse_calculus, parse_metasequent, parse_sequent as ps
 
 p, q, r = atom("p"), atom("q"), atom("r")
 
@@ -532,13 +533,29 @@ class TestPremisesOnDemand:
                 found += 1
         assert found
 
-    def test_passed_premises_are_kept(self):
-        calc = builtin("G3cp")
-        s = ps("p & q => q")
-        inst = match_conclusion(calc, s)[0]
-        given = (ps("p => p"),)
-        made = calculus.RuleInstance(inst.rule, inst.assignment, s, given)
-        assert made.premises is given and made.conclusion is s
+
+class TestFixed:
+    """A schema's fixed metavariables are bound before matching: Cut with
+    its cut formula given has instances, plain Cut has none."""
+
+    def test_fixed_names_count_as_bound(self):
+        cut = prover.cut_rule("multi")
+        fixed = replace(cut, fixed=(("A", p),))
+        assert cut.fresh == ("A",) and fixed.fresh == ()
+        calc = calculus.Calculus("Cuts", "multi", [], [cut, fixed])
+        [inst] = match_conclusion(calc, ps("q => r"))
+        assert inst.rule is fixed and inst.assignment == {"A": p, "G": FMultiset([q]),
+                                                          "D": FMultiset([r])}
+        assert inst.premises == (ps("q => p, r"), ps("q, p => r"))
+
+    def test_fixed_binding_must_match(self):
+        # a fixed metavariable in the conclusion takes only its own formula
+        rule = calculus.RuleSchema("Drop", (MetaSequent(*parse_metasequent("G =>")),),
+                                   MetaSequent(*parse_metasequent("G, A =>")),
+                                   fixed=(("A", p),))
+        calc = calculus.Calculus("Drops", "multi", [], [rule])
+        assert [i.premises for i in match_conclusion(calc, ps("q, p, r =>"))] == [(ps("q, r =>"),)]
+        assert match_conclusion(calc, ps("q, r =>")) == []
 
 
 class TestRegistrationValidation:

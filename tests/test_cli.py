@@ -5,7 +5,7 @@ import pytest
 
 from proofkit.cli import run
 from proofkit.proofio import load_derivation
-from proofkit.calculus import builtin
+from proofkit.calculus import _SOURCES, builtin
 from proofkit.prover import check_derivation
 
 
@@ -65,6 +65,37 @@ class TestProve:
                "--emit", str(target))
         code, _, err = invoke(capsys, "check", "--calculus", "g3ip", str(target))
         assert code == 1 and "defect" in err
+
+
+class TestCut:
+    """`prove --with-cut --emit` names the calculus searched, NAME+cut, and
+    `check` takes that name for a builtin or a .cal file."""
+
+    def test_cut_derivation_checks_in_the_calculus_plus_cut(self, capsys, tmp_path):
+        target = tmp_path / "cut.drv"
+        code, _, _ = invoke(capsys, "prove", "--calculus", "g3cp", "--with-cut",
+                            "=> p -> false | p", "--emit", str(target))
+        assert code == 0
+        lines = target.read_text().splitlines()
+        assert lines[:2] == ["calculus G3cp+Cut", "rule Cut :: => p -> false | p"]
+        code, out, _ = invoke(capsys, "check", "--calculus", "g3cp+cut", str(target))
+        assert code == 0 and "checks in G3cp+Cut" in out
+        code, _, err = invoke(capsys, "check", "--calculus", "g3cp", str(target))
+        assert code == 1 and "unknown rule 'Cut'" in err
+
+    def test_cal_file_plus_cut(self, capsys, tmp_path):
+        cal, target = tmp_path / "mine.cal", tmp_path / "cut.drv"
+        cal.write_text(_SOURCES["g3cp"])
+        code, _, _ = invoke(capsys, "prove", "--calculus", str(cal), "--with-cut",
+                            "=> p -> false | p", "--emit", str(target))
+        assert code == 0 and "rule Cut" in target.read_text()
+        assert invoke(capsys, "check", "--calculus", f"{cal}+cut", str(target))[0] == 0
+        assert invoke(capsys, "check", "--calculus", str(cal), str(target))[0] == 1
+
+    def test_plain_emit_names_the_calculus(self, capsys, tmp_path):
+        target = tmp_path / "proof.drv"
+        invoke(capsys, "prove", "--calculus", "g3cp", "=> p | ~p", "--emit", str(target))
+        assert target.read_text().startswith("calculus G3cp\n")
 
 
 class TestInterpolate:

@@ -8,6 +8,7 @@ from proofkit.interpolation import (InterpolationProblem, InterpolantCertificate
                                     NotAnAxiom, NotProvable, UnsupportedRule,
                                     axiom_interpolant, craig_interpolate,
                                     formula_interpolant, verify_certificate)
+from proofkit.proofio import emit_derivation, load_derivation
 from proofkit.syntax import parse_calculus, parse_formula as pf, parse_sequent as ps
 from proofkit import corpus, interpolation, prover
 
@@ -222,6 +223,32 @@ class TestCheckedLeaves:
             cert = craig_interpolate(InterpolationProblem(g4ip, d, sp), cache)
             assert verify_certificate(g4ip, cert, sp) == []
         assert sorted(seen) == sorted(nodes)
+
+
+class TestLoadedDerivations:
+    """A derivation read back from its .drv text stores no assignment; the
+    extractor reads each inner node under the witness the checker derives."""
+
+    def test_loaded_copy_gives_the_same_interpolants(self, g4ip, caches):
+        cache = caches(g4ip)
+        checked = 0
+        for s in corpus.sequents(("p", "q"), 5, single=True):
+            res = prove(g4ip, s, cache=cache)
+            if not res.provable:
+                continue
+            loaded = load_derivation(emit_derivation(res.derivation))
+            for node, copy in zip(res.derivation.nodes(), loaded.nodes()):
+                if not node.is_leaf:
+                    assert prover.witness(g4ip.rule(node.rule), copy) == node.assignment, s
+            for gamma in _gammas(s.ant):
+                sp = SplitAnt(gamma, s.ant.difference(gamma), s.suc)
+                want = craig_interpolate(InterpolationProblem(g4ip, res.derivation, sp),
+                                         cache).alpha
+                cert = craig_interpolate(InterpolationProblem(g4ip, loaded, sp), cache)
+                assert cert.alpha == want, (s, gamma)
+                assert verify_certificate(g4ip, cert, sp) == [], (s, gamma)
+                checked += 1
+        assert checked > 500
 
 
 class TestVerifyCertificate:

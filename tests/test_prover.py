@@ -1,5 +1,8 @@
 import itertools
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,35 @@ class TestDerivationTraversal:
         finally:
             sys.setrecursionlimit(limit)
         assert len(nodes) == 5_000 and nodes[0] is d and nodes[-1].rule == "At"
+
+    def test_deep_equality_and_hash(self):
+        # in a subprocess: C-level recursion this deep overflows the C stack
+        # and kills the interpreter, which would end the whole test run
+        code = """if True:
+            from proofkit.prover import Derivation
+            from proofkit.syntax import parse_sequent
+            s = parse_sequent("p => p")
+            def chain(top):
+                d = Derivation(s, top)
+                for _ in range(50_000):
+                    d = Derivation(s, "R", None, [d])
+                return d
+            d, e, f = chain("At"), chain("At"), chain("Lbot")
+            assert d == e and hash(d) == hash(e) and d != f
+            """
+        src = str(Path(prover.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+
+    def test_shared_subtrees_are_visited_once(self):
+        # 2**200 root-to-leaf paths through 201 distinct nodes
+        s = ps("p => p")
+        d, e = Derivation(s, "At"), Derivation(s, "At")
+        for _ in range(200):
+            d, e = Derivation(s, "R", None, [d, d]), Derivation(s, "R", None, [e, e])
+        assert d == e and hash(d) == hash(e)
+        assert d != Derivation(s, "R", None, [d.children[0], Derivation(s, "Lbot")])
 
     def test_nodes_in_pre_order(self):
         d = peirce_derivation()

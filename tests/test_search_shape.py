@@ -4,6 +4,7 @@ contraction rules follow from the rules, and caches answer for their own
 calculus only."""
 
 import gc
+import re
 import weakref
 
 import pytest
@@ -13,7 +14,7 @@ from proofkit.calculus import (BadRuleShape, _SOURCES, builtin, builtin_names,
                                from_document)
 from proofkit.prover import (ProverCache, SearchBudget, ShapeMismatch,
                              check_derivation, invert, prove, prove_with_cut,
-                             shared_cache, with_cut)
+                             _support, shared_cache, with_cut)
 from proofkit.syntax import ParseError, parse_calculus, parse_formula as pf, \
     parse_sequent as ps
 from proofkit.uniform import ipc_uniform, verify_uniform
@@ -80,6 +81,35 @@ def test_renamed_builtin_cut_search_identical(name):
         assert (a.status, a.exhaustive, a.stats.nodes) == \
             (b.status, b.exhaustive, b.stats.nodes), s
         assert a.derivation == b.derivation, s
+
+
+def context_renamed(name):
+    """The builtin's DSL text with its contexts named P and S, not G and D."""
+    text = re.sub(r"\bG\b", "P", re.sub(r"\bD\b", "S", _SOURCES[name.lower()]))
+    calc = from_document(parse_calculus(text))
+    assert calc != builtin(name) and calc.name == name
+    return calc
+
+
+@pytest.mark.parametrize("name", ["G3cp", "G3ip"])
+def test_padding_follows_the_schema_contexts(name):
+    # padded nodes keep a witness whatever the contexts are called
+    calc, twin = builtin(name), context_renamed(name)
+    single = calc.mode == "single"
+    padded = 0
+    for s in corpus.sequents(("p", "q"), 5, single=single):
+        a, b = prove(calc, s), prove(twin, s)
+        assert (a.status, a.exhaustive, a.stats.nodes, a.derivation) == \
+            (b.status, b.exhaustive, b.stats.nodes, b.derivation), s
+        if b.provable:
+            assert all(n.assignment is not None for n in b.derivation.nodes()), s
+            padded += _support(s) is not s
+    assert padded
+    for s in list(corpus.sequents(("p", "q"), 4, single=single))[:150]:
+        b = prove_with_cut(twin, s)
+        assert b.derivation == prove_with_cut(calc, s).derivation, s
+        if b.provable:
+            assert all(n.assignment is not None for n in b.derivation.nodes()), s
 
 
 G1IP_WITH_MEASURE = _SOURCES["g1ip"].replace("mode single\n", "mode single\nmeasure weight\n")
