@@ -22,13 +22,19 @@ no member of the sequent side is (`Side.kinds`; a search reads the
 sequent's kinds and shapes once per node, `sequent_kinds`).  Within a
 schema the formula patterns of both sides are placed first, most specific
 first (`MetaSequent.plan`: p? -> A before p?, a metavariable already bound
-found by its occurrences), and the remainder, the boxed binding and the
-context binding are built once per complete placement.  The instance
-order is nevertheless the one of trying the patterns in written order,
-antecedent first, each on every remaining occurrence in canonical position
-order: placements are re-sorted into that order when the plan differs from
-it.  So `match_conclusion` lists instances in rule order, then
-principal-occurrence order, with the same assignments.
+found by its occurrences), and the contexts are bound once per complete
+placement.  The instance order is nevertheless the one of trying the
+patterns in written order, antecedent first, each on every remaining
+occurrence in canonical position order: placements are re-sorted into that
+order when the plan differs from it.  So `match_conclusion` lists instances
+in rule order, then principal-occurrence order, with the same assignments.
+
+The matching is compiled: one generated Python function per (schema
+sequent, names the caller bound before matching), built on first use and
+kept on the `MetaSequent` (`_compile_matcher`), walks the plan as nested
+loops with every test and pattern destructuring inline; `instantiate` calls
+one generated filler per schema sequent.  Names from a `.cal` file reach
+the generated source only as `repr` literals or namespace constants.
 
 All built-in rules are additive: contexts are repeated verbatim across
 premises, so matching a conclusion never splits a context between two plain
@@ -40,10 +46,10 @@ those calculi.
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import count
 from operator import attrgetter, itemgetter
 
 from . import core
@@ -154,10 +160,26 @@ class MetaSequent:
         order = [e[0] for e in plan]
         return tuple(plan), order != sorted(order)
 
+    @cached_property
+    def names(self) -> frozenset:
+        """Every metavariable of both sides, contexts included."""
+        return frozenset(self.ant.metavars() | self.suc.metavars())
+
+    @cached_property
+    def matchers(self) -> dict:
+        """{the names among `names` bound before matching, None when
+        nothing is: compiled matcher}, filled on first use."""
+        return {}
+
+    @cached_property
+    def filler(self):
+        """The compiled `instantiate` of this sequent."""
+        return _compile_filler(self)
+
     def admits(self, kinds) -> bool:
         """False when a side needs a kind or shape that the sequent, whose
         (antecedent, succedent) `sequent_kinds` are given, lacks: then no
-        placement exists and `_place` need not scan the side."""
+        placement exists and the matcher need not scan the side."""
         return self.ant.kinds <= kinds[0] and self.suc.kinds <= kinds[1]
 
     def __repr__(self):
@@ -395,67 +417,33 @@ def subst_pattern(pat: Formula, asg) -> Formula:
     return core._mk(k, subst_pattern(pat.a, asg), subst_pattern(pat.b, asg))
 
 
-def _place(plan, rows, j, asg, pos, out, members):
-    """Append to out every placement of the patterns plan[j:] on distinct
-    occurrences, as (positions in slot order, assignment), in plan order.
-    pos holds the positions placed so far, members per side the ids of its
-    members once a shared child (`MetaSequent.plan`) needs them.  An
-    occurrence is skipped before `match_formula` when neither its kind nor
-    its shape is the pattern's need (exact: kinds and shapes are disjoint
-    strings and a leaf's shape is its kind), or when its shared child is
-    not a member.  A bound metavariable finds its occurrences by `in` and
-    `index` on the row, which compare by identity first.  A module function
-    rather than a closure that calls itself: such a closure is a reference
-    cycle per call, and collecting those made search on small sequents a
-    quarter slower."""
-    if j == len(plan):
-        out.append((tuple(pos), asg))
-        return
-    slot, side, pat, var, need, shared, others = plan[j]
-    row = rows[side]
-    f = asg.get(var) if var is not None else None
-    if f is not None:
-        # a bound metavariable takes its own occurrences, nothing else;
-        # equal members are adjacent in the canonical order
-        if f in row:
-            i = row.index(f)
-            while i < len(row) and row[i] is f:
-                if not (others and any(pos[t] == i for t in others)):
-                    pos[slot] = i
-                    _place(plan, rows, j + 1, asg, pos, out, members)
-                i += 1
-        return
-    if shared:
-        ids = members[side]
-        if ids is None:
-            ids = members[side] = set(map(id, row))
-    for i, g in enumerate(row):
-        if need is not None and g.kind != need and g.shape != need:
-            continue
-        if shared and id(g.a) not in ids:
-            continue
-        if others and any(pos[t] == i for t in others):
-            continue
-        asg2 = match_formula(pat, g, asg)
-        if asg2 is not None:
-            pos[slot] = i
-            _place(plan, rows, j + 1, asg2, pos, out, members)
+def _rest(items, taken):
+    """items without the positions in taken."""
+    kept, start = (), 0
+    for i in sorted(taken):
+        kept += items[start:i]
+        start = i + 1
+    return kept + items[start:]
+
+
+def _span(row, f):
+    """The positions of f's occurrences in row, adjacent in canonical order
+    (`index` compares by identity first)."""
+    try:
+        i = j = row.index(f)
+    except ValueError:
+        return ()
+    while j < len(row) and row[j] is f:
+        j += 1
+    return range(i, j)
 
 
 def _bind_contexts(side: Side, ms: FMultiset, taken, asg):
     """Bind, or check against a prior binding, the side's boxed and plain
-    contexts on what the patterns leave of ms; None on a mismatch."""
-    if side.ctx is None and side.boxed is None:
-        return asg if len(ms) == len(taken) else None
-    if len(taken) == 1:
-        i = taken[0]
-        ms = FMultiset._wrap(ms.items[:i] + ms.items[i + 1:])
-    elif taken:
-        items, kept, start = ms.items, (), 0
-        for i in sorted(taken):
-            kept += items[start:i]
-            start = i + 1
-        ms = FMultiset._wrap(kept + items[start:])
+    contexts on what the patterns leave of ms; None on a mismatch.  Compiled
+    matchers call it for a boxed context or a context bound before matching."""
+    if taken:
+        ms = FMultiset._wrap(_rest(ms.items, taken))
     if side.boxed is not None:
         # the boxed context first: bind maximally, or check a prior binding
         bound = asg.get(side.boxed)
@@ -478,46 +466,156 @@ def _bind_contexts(side: Side, ms: FMultiset, taken, asg):
     return asg if ms == bound else None
 
 
+def _compile(name, src, consts, **names):
+    """exec src, which defines name, in a namespace of names and of the
+    constants k0, k1, ...: user text never enters src but as repr literals."""
+    ns = dict(names, FMultiset=FMultiset, **{f"k{n}": c for n, c in enumerate(consts)})
+    exec(compile("\n".join(src), f"<proofkit {name}>", "exec"), ns)
+    return ns[name]
+
+
+def _compile_matcher(ms: MetaSequent, key):
+    """The matcher of ms when the names in key are bound before matching
+    (None: no prior assignment), (sequent, prior) -> the assignments
+    `match_metasequent` yields.  One nested loop per `MetaSequent.plan`
+    entry: the need, shared-member and occupied-slot tests, then the
+    pattern destructured (a bound metavariable by identity, a subpattern
+    without metavariables by identity with its interned formula)."""
+    plan, resort = ms.plan
+    sides, rows = (ms.ant, ms.suc), ("ant", "suc")
+    bound, local, new, consts, temps = set(key or ()), {}, [], [], count()
+    src = ["def match(s, asg):", " ant = s.ant.items", " suc = s.suc.items", " out = []"]
+
+    def emit(line, depth):
+        src.append(" " * depth + line)
+
+    def destructure(pat, expr, known, depth):
+        # known: 2 when the need fixed pat's kind and its first child's, 1 its kind
+        k = pat.kind
+        if k in (core.FMETA, core.AMETA):
+            if k == core.AMETA and not known:
+                emit(f"if {expr}.kind != 'atom': continue", depth)
+            if pat.a in bound:
+                emit(f"if {expr} is not {local[pat.a]}: continue", depth)
+            else:
+                bound.add(pat.a)
+                new.append(pat.a)
+                local[pat.a] = f"v{len(local)}"
+                emit(f"{local[pat.a]} = {expr}", depth)
+        elif not metavars(pat):
+            emit(f"if {expr} is not k{len(consts)}: continue", depth)
+            consts.append(pat)
+        else:
+            if not known:
+                emit(f"if {expr}.kind != {k!r}: continue", depth)
+            for n, child in enumerate((pat.a,) if k in core.UNARY else (pat.a, pat.b)):
+                sub = f"{expr}.{'ab'[n]}"
+                if child.kind in core.BINARY + core.UNARY:
+                    temp = f"t{next(temps)}"
+                    emit(f"{temp} = {sub}", depth)
+                    sub = temp
+                destructure(child, sub, known == 2 and n == 0, depth)
+
+    pat_names = {v for p in ms.ant.pats + ms.suc.pats for v in metavars(p)}
+    for name in sorted(bound & pat_names):
+        local[name] = f"v{len(local)}"
+        emit(f"{local[name]} = asg[{name!r}]", 1)
+    for n, (side, row) in enumerate(zip(sides, rows)):
+        if side.ctx is None and side.boxed is None:
+            emit(f"if len({row}) != {len(side.pats)}: return out", 1)
+        if any(e[5] and e[1] == n for e in plan):
+            emit(f"m{row} = set({row})", 1)
+    depth, at = 1, {}               # at: slot -> its position variable
+    for j, (slot, side, pat, var, need, shared, others) in enumerate(plan):
+        row, placed = rows[side], var in bound
+        if placed:
+            emit(f"for i{j} in _span({row}, {local[var]}):", depth)
+        else:
+            emit(f"for i{j}, g{j} in enumerate({row}):", depth)
+            if need is not None:
+                attr = "shape" if need in _SHAPE_KIND else "kind"
+                emit(f"if g{j}.{attr} != {need!r}: continue", depth + 1)
+            if shared:
+                emit(f"if g{j}.a not in m{row}: continue", depth + 1)
+        depth += 1
+        if others:
+            emit(f"if {' or '.join(f'i{j} == {at[t]}' for t in others)}: continue", depth)
+        if not placed:
+            destructure(pat, f"g{j}", 2 if need in _SHAPE_KIND else need is not None, depth)
+        at[slot] = f"i{j}"
+    # contexts: inline for a plain one nobody bound, else _bind_contexts
+    entries, binds, na = [f"{n!r}: {local[n]}" for n in new], [], len(ms.ant.pats)
+    for n, (side, row) in enumerate(zip(sides, rows)):
+        taken = [at[t] for t in (range(na) if n == 0 else range(na, len(plan)))]
+        if side.boxed is not None or side.ctx in bound:
+            binds.append(f"d = _bind_contexts(side{n}, s.{row}, "
+                         f"({''.join(t + ', ' for t in taken)}), d)")
+        elif side.ctx is not None:
+            rest = (f"s.{row}" if not taken else
+                    f"FMultiset._wrap({row}[:{taken[0]}] + {row}[{taken[0]} + 1:])"
+                    if len(taken) == 1 else f"FMultiset._wrap(_rest({row}, ({', '.join(taken)})))")
+            if binds:
+                binds.append(f"d[{side.ctx!r}] = {rest}")
+            else:
+                entries.append(f"{side.ctx!r}: {rest}")
+    emit("d = {" + ", ".join(["**asg"] * (key is not None) + entries) + "}", depth)
+    for line in binds:
+        emit(line, depth)
+        if line.startswith("d = "):
+            emit("if d is not None:", depth)
+            depth += 1
+    pos = ", ".join(at[t] for t in range(len(plan)))
+    emit(f"out.append((({pos}), d))" if resort else "out.append(d)", depth)
+    if resort:
+        emit("if len(out) > 1: out.sort(key=_first)", 1)
+        emit("return [d for _, d in out]", 1)
+    else:
+        emit("return out", 1)
+    return _compile("match", src, consts, _span=_span, _rest=_rest, _first=itemgetter(0),
+                    _bind_contexts=_bind_contexts, side0=ms.ant, side1=ms.suc)
+
+
 def match_metasequent(ms: MetaSequent, s: Sequent, asg=None):
     """Yield every assignment under which ms instantiates to s, in the order
     of the occurrences the patterns take: antecedent patterns in written
     order, then succedent ones, each choice tried in canonical position
-    order.  Patterns are placed first (`MetaSequent.plan`), contexts bound
-    once per complete placement."""
-    plan, resort = ms.plan
-    placed = []
-    _place(plan, (s.ant.items, s.suc.items), 0, {} if asg is None else asg,
-           [None] * len(plan), placed, [None, None])
-    if resort and len(placed) > 1:
-        placed.sort(key=itemgetter(0))
-    na = len(ms.ant.pats)
-    for pos, asg1 in placed:
-        asg1 = _bind_contexts(ms.ant, s.ant, pos[:na], asg1)
-        if asg1 is not None:
-            asg1 = _bind_contexts(ms.suc, s.suc, pos[na:], asg1)
-            if asg1 is not None:
-                yield asg1
+    order.  The work is done by ms's compiled matcher for the names asg
+    binds among ms's own (`_compile_matcher`), built on first use."""
+    key = ms.names.intersection(asg) if asg else None
+    fn = ms.matchers.get(key)
+    if fn is None:
+        fn = ms.matchers[key] = _compile_matcher(ms, key)
+    yield from fn(s, asg)
+
+
+def _compile_filler(ms: MetaSequent):
+    """ms's instantiation, asg -> Sequent: the patterns substituted and
+    merged into the context binding (`FMultiset.add`), which is already in
+    canonical order; a side that adds nothing is the bound multiset itself."""
+    consts = []
+
+    def subst(pat):
+        if pat.kind in (core.FMETA, core.AMETA):
+            return f"asg[{pat.a!r}]"
+        if not metavars(pat):
+            consts.append(pat)
+            return f"k{len(consts) - 1}"
+        kids = (pat.a,) if pat.kind in core.UNARY else (pat.a, pat.b)
+        return f"_mk({pat.kind!r}, {', '.join(map(subst, kids))})"
+
+    def fill(side):
+        out = [subst(p) for p in side.pats] + [f"*map(box, asg[{side.boxed!r}])"] * bool(side.boxed)
+        if side.ctx is None:
+            return f"FMultiset(({''.join(x + ', ' for x in out)}))"
+        return f"asg[{side.ctx!r}].add({', '.join(out)})" if out else f"asg[{side.ctx!r}]"
+
+    src = ["def fill(asg):", f" return Sequent({fill(ms.ant)}, {fill(ms.suc)})"]
+    return _compile("fill", src, consts, _mk=core._mk, box=box, Sequent=Sequent)
 
 
 def instantiate(ms: MetaSequent, asg) -> Sequent:
-    """The sequent ms denotes under asg.  A context binding is already in
-    canonical order, so the few instantiated patterns are merged into it;
-    a side that adds nothing to its context is the bound multiset itself."""
-    def fill(side):
-        out = [subst_pattern(p, asg) for p in side.pats]
-        if side.boxed is not None:
-            out += map(box, asg[side.boxed])
-        if side.ctx is None:
-            return FMultiset(out)
-        ctx = asg[side.ctx]
-        if not out:
-            return ctx
-        xs = list(ctx.items)
-        for f in out:
-            insort(xs, f, key=Formula.sort_key)
-        return FMultiset._wrap(xs)
-
-    return Sequent(fill(ms.ant), fill(ms.suc))
+    """The sequent ms denotes under asg (KeyError for an unbound name)."""
+    return ms.filler(asg)
 
 
 def _instances(schemas, s: Sequent, kinds):

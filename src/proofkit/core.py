@@ -9,6 +9,7 @@ ever reused.  Nothing in this module depends on any calculus.
 
 from __future__ import annotations
 
+from bisect import insort
 from typing import Iterable, Iterator
 
 # ---------------------------------------------------------------------------
@@ -371,7 +372,11 @@ class FMultiset:
         return self.items.count(f)
 
     def add(self, *fs) -> "FMultiset":
-        return FMultiset(self.items + fs)
+        """self plus fs, each merged into the canonical order."""
+        xs = list(self.items)
+        for f in fs:
+            insort(xs, f, key=Formula.sort_key)
+        return FMultiset._wrap(xs)
 
     def union(self, other) -> "FMultiset":
         other_items = other.items if isinstance(other, FMultiset) else tuple(other)

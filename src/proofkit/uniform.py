@@ -34,7 +34,7 @@ from itertools import product
 from . import core
 from .core import (Formula, FMultiset, Sequent, Top, Bot, atom, atoms,
                    apply_subst, imp, conj_all, disj_all, fconj,
-                   fconj_all, fdisj, fdisj_all, fimp, interpret, seq_multiply,
+                   fconj_all, fdisj, fdisj_all, fimp, interpret,
                    sub_multisets)
 from .calculus import builtin, builtin_names
 from .corpus import formulas as corpus_formulas
@@ -356,13 +356,17 @@ def _psi_corpus(calc, names: tuple, psi_bound: int, cache: ProverCache, holds) -
             for psi in psis:
                 table = tuple(fold_constants(apply_subst(v, psi)) for v in valuations)
                 group = by_table.setdefault(table, [])
-                if not any(holds([psi], [r]) and holds([r], [psi]) for r in group):
+                if not any(holds(_one(psi), _one(r)) and holds(_one(r), _one(psi)) for r in group):
                     group.append(psi)
                     reps.append(psi)
         else:
             reps = psis
         cache.psi_representatives[key] = reps
     return reps
+
+
+def _one(f) -> FMultiset:
+    return FMultiset._wrap((f,))
 
 
 def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
@@ -383,33 +387,28 @@ def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
     report = UniformReport(u.target, p)
 
     def holds(ant, suc):
-        return prove(calc, Sequent(FMultiset(ant), FMultiset(suc)), cache=cache).provable
+        return prove(calc, Sequent(ant, suc), cache=cache).provable
 
     names = tuple(sorted(atoms(u.target) - {p}))
     fa, ex = u.forall_part, u.exists_part
     if isinstance(u.target, Sequent):
         s = u.target
-        sa, ss = list(s.ant), list(s.suc)
-        if not holds(sa + [fa], ss):
+        sa, ss = s.ant, s.suc
+        if not holds(sa.add(fa), ss):
             report.violations.append("(forall-l) fails")
         report.checked.append("forall-l")
-        if multi:
-            ok_er = holds(sa, [ex] + ss)
-        else:
-            ok_er = holds(sa, [ex])
-        if not ok_er:
+        if not holds(sa, ss.add(ex) if multi else _one(ex)):
             report.violations.append("(exists-r) fails")
         report.checked.append("exists-r")
 
         psis = _psi_corpus(calc, names, psi_bound, cache, holds)
         for psi in psis:
-            if holds(sa + [psi], ss) and not holds([psi], [fa]):
+            if holds(sa.add(psi), ss) and not holds(_one(psi), _one(fa)):
                 report.violations.append(f"(forall) minimality fails at {psi!r}")
                 break
         report.checked.append("forall-minimal")
         for psi in psis:
-            premise = holds(sa, [psi] + ss) if multi else holds(sa, [psi])
-            if premise and not holds([ex], [psi]):
+            if holds(sa, ss.add(psi) if multi else _one(psi)) and not holds(_one(ex), _one(psi)):
                 report.violations.append(f"(exists) minimality fails at {psi!r}")
                 break
         report.checked.append("exists-minimal")
@@ -419,27 +418,26 @@ def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
                 ui = _sub_uniform(calc, s_i, p, cache)
                 fa_i, ex_i = ui.forall_part, ui.exists_part
                 if multi:
-                    goal = seq_multiply(s_r, Sequent(FMultiset([ex_i]), FMultiset([fa_i])))
-                    ok = holds(list(goal.ant), list(goal.suc))
+                    ok = holds(s_r.ant.add(ex_i), s_r.suc.add(fa_i))
                 elif s.suc and not s_r.suc:
-                    ok = holds(list(s_r.ant) + [ex_i], [fa_i])
+                    ok = holds(s_r.ant.add(ex_i), _one(fa_i))
                 else:
-                    ok = holds(list(s_r.ant) + [ex_i], list(s_r.suc))
+                    ok = holds(s_r.ant.add(ex_i), s_r.suc)
                 if not ok:
                     report.violations.append(f"(forall-exists) fails at split {s_r!r} . {s_i!r}")
                     break
             report.checked.append("forall-exists")
     else:
         f = u.target
-        if not holds([fa], [f]):
+        if not holds(_one(fa), _one(f)):
             report.violations.append("(forall) lower bound fails")
-        if not holds([f], [ex]):
+        if not holds(_one(f), _one(ex)):
             report.violations.append("(exists) upper bound fails")
         for psi in _psi_corpus(calc, names, psi_bound, cache, holds):
-            if holds([psi], [f]) and not holds([psi], [fa]):
+            if holds(_one(psi), _one(f)) and not holds(_one(psi), _one(fa)):
                 report.violations.append(f"(forall) minimality fails at {psi!r}")
                 break
-            if holds([f], [psi]) and not holds([ex], [psi]):
+            if holds(_one(f), _one(psi)) and not holds(_one(ex), _one(psi)):
                 report.violations.append(f"(exists) minimality fails at {psi!r}")
                 break
         report.checked.extend(["forall", "exists", "minimality"])
