@@ -558,6 +558,8 @@ def _compile_matcher(ms: MetaSequent, key):
                 binds.append(f"d[{side.ctx!r}] = {rest}")
             else:
                 entries.append(f"{side.ctx!r}: {rest}")
+        # a name the antecedent bound is checked, not rebound, in the succedent
+        bound.update((side.ctx, side.boxed))
     emit("d = {" + ", ".join(["**asg"] * (key is not None) + entries) + "}", depth)
     for line in binds:
         emit(line, depth)
