@@ -32,8 +32,11 @@ in rule order, then principal-occurrence order, with the same assignments.
 The matching is compiled: one generated Python function per (schema
 sequent, names the caller bound before matching), built on first use and
 kept on the `MetaSequent` (`_compile_matcher`), walks the plan as nested
-loops with every test and pattern destructuring inline; `instantiate` calls
-one generated filler per schema sequent.  Names from a `.cal` file reach
+loops with every test and pattern destructuring inline.  It reads the
+sequent's sides directly, as the canonical tuples they are (`FMultiset`),
+and binds a context to the slices the patterns leave, made a multiset by
+`FMultiset._wrap` with no re-sorting.  `instantiate` calls one generated
+filler per schema sequent.  Names from a `.cal` file reach
 the generated source only as `repr` literals or namespace constants.
 
 All built-in rules are additive: contexts are repeated verbatim across
@@ -443,7 +446,7 @@ def _bind_contexts(side: Side, ms: FMultiset, taken, asg):
     contexts on what the patterns leave of ms; None on a mismatch.  Compiled
     matchers call it for a boxed context or a context bound before matching."""
     if taken:
-        ms = FMultiset._wrap(_rest(ms.items, taken))
+        ms = FMultiset._wrap(_rest(ms, taken))
     if side.boxed is not None:
         # the boxed context first: bind maximally, or check a prior binding
         bound = asg.get(side.boxed)
@@ -484,7 +487,7 @@ def _compile_matcher(ms: MetaSequent, key):
     plan, resort = ms.plan
     sides, rows = (ms.ant, ms.suc), ("ant", "suc")
     bound, local, new, consts, temps = set(key or ()), {}, [], [], count()
-    src = ["def match(s, asg):", " ant = s.ant.items", " suc = s.suc.items", " out = []"]
+    src = ["def match(s, asg):", " ant = s.ant", " suc = s.suc", " out = []"]
 
     def emit(line, depth):
         src.append(" " * depth + line)
@@ -646,7 +649,7 @@ def axiom_instance(calc: Calculus, s: Sequent, kinds=None):
 def sequent_kinds(s: Sequent):
     """The kinds and shapes of the members on each side of s: what
     `MetaSequent.admits` reads.  A search computes them once per node."""
-    return _side_kinds(s.ant.items), _side_kinds(s.suc.items)
+    return _side_kinds(s.ant), _side_kinds(s.suc)
 
 
 def _side_kinds(items):

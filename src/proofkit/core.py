@@ -4,13 +4,15 @@ All values here are immutable.  Formulas are interned: only `_mk` constructs
 them, so constructing the same formula twice yields the same object, and
 equal formulas are identical.  `Formula` therefore keeps the default identity
 equality and hash; `_intern` keeps every formula alive, so no identity is
-ever reused.  Nothing in this module depends on any calculus.
+ever reused.  A multiset (`FMultiset`) is the tuple of its members in
+canonical order, so it equals a plain tuple with the same members in that
+order.  Nothing in this module depends on any calculus.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # ---------------------------------------------------------------------------
 # formulas
@@ -326,65 +328,40 @@ def apply_subst(m: dict, x):
 # ---------------------------------------------------------------------------
 # multisets and sequents
 
-class FMultiset:
-    """Immutable multiset of formulas kept as a canonically sorted tuple."""
+class FMultiset(tuple):
+    """An immutable finite multiset of formulas: the tuple of its members in
+    canonical `Formula.sort_key` order, so one object per multiset.
+    Equality, hashing, `len`, iteration, `in` and `count` are the tuple's,
+    and a multiset equals the plain tuple of the same members in that order.
+    Every empty result is the shared `EMPTY`."""
 
-    __slots__ = ("items", "_hash")
+    __slots__ = ()
+
+    def __new__(cls, items: Iterable[Formula] = ()):
+        xs = sorted(items, key=Formula.sort_key)
+        return tuple.__new__(cls, xs) if xs else EMPTY
 
     def __init__(self, items: Iterable[Formula] = ()):
-        xs = list(items)
-        xs.sort(key=Formula.sort_key)
-        self.items = tuple(xs)
-        self._hash = None
+        """Nothing to do: `__new__` builds the multiset.  Kept as the name
+        bench/tracing.py wraps to count and time multiset construction."""
 
     @staticmethod
     def _wrap(sorted_items) -> "FMultiset":
-        m = object.__new__(FMultiset)
-        m.items = tuple(sorted_items)
-        m._hash = None
-        return m
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-    def __bool__(self):
-        return bool(self.items)
-
-    def __hash__(self):
-        # computed on first use: most multisets that rule matching builds
-        # (the remainders bound to contexts) are never hashed
-        if self._hash is None:
-            self._hash = hash(self.items)
-        return self._hash
-
-    def __eq__(self, other):
-        if not isinstance(other, FMultiset):
-            return NotImplemented
-        return self.items == other.items
-
-    def __contains__(self, f):
-        return f in self.items
-
-    def count(self, f) -> int:
-        return self.items.count(f)
+        return tuple.__new__(FMultiset, sorted_items) if sorted_items else EMPTY
 
     def add(self, *fs) -> "FMultiset":
         """self plus fs, each merged into the canonical order."""
-        xs = list(self.items)
+        xs = list(self)
         for f in fs:
             insort(xs, f, key=Formula.sort_key)
         return FMultiset._wrap(xs)
 
     def union(self, other) -> "FMultiset":
-        other_items = other.items if isinstance(other, FMultiset) else tuple(other)
-        return FMultiset(self.items + other_items)
+        return FMultiset([*self, *other])
 
     def remove(self, f) -> "FMultiset":
         """Drop one occurrence of f (which must be present)."""
-        xs = list(self.items)
+        xs = list(self)
         xs.remove(f)
         return FMultiset._wrap(xs)
 
@@ -393,7 +370,7 @@ class FMultiset:
         ignored."""
         drop = _counts(other)
         xs = []
-        for f in self.items:
+        for f in self:
             if drop.get(f):
                 drop[f] -= 1
             else:
@@ -402,7 +379,7 @@ class FMultiset:
 
     def contains(self, other) -> bool:
         """Multiset inclusion, multiplicities respected."""
-        have = _counts(self.items)
+        have = _counts(self)
         for f in other:
             n = have.get(f)
             if not n:
@@ -412,16 +389,16 @@ class FMultiset:
 
     def support(self) -> "FMultiset":
         """Each distinct member once (self when there are no duplicates)."""
-        xs = dict.fromkeys(self.items)
-        if len(xs) == len(self.items):
+        xs = dict.fromkeys(self)
+        if len(xs) == len(self):
             return self
         return FMultiset._wrap(xs)
 
     def __repr__(self):
-        return "{" + ", ".join(repr(f) for f in self.items) + "}"
+        return "{" + ", ".join(map(repr, self)) + "}"
 
 
-EMPTY = FMultiset()
+EMPTY = tuple.__new__(FMultiset)
 
 
 def _counts(xs) -> dict:
@@ -452,7 +429,7 @@ class Sequent:
         if not isinstance(other, Sequent):
             return NotImplemented
         # the prover caches compare sequents on every hit
-        return self.ant.items == other.ant.items and self.suc.items == other.suc.items
+        return self.ant == other.ant and self.suc == other.suc
 
     def is_single_conclusion(self) -> bool:
         return len(self.suc) <= 1
@@ -467,7 +444,7 @@ def sub_multisets(ms: FMultiset, movable=None):
     members f with movable(f) (all, by default) may go into part.  The first
     distinct member's share varies fastest."""
     out = [((), ())]
-    for f in reversed(ms.support().items):
+    for f in reversed(ms.support()):
         n = ms.count(f)
         ks = range(n + 1) if movable is None or movable(f) else (0,)
         out = [((f,) * k + part, (f,) * (n - k) + rest)
@@ -579,8 +556,8 @@ def multiset_less(a: FMultiset, b: FMultiset, measure="weight") -> bool:
     """a < b iff a arises from b by replacing one or more members with
     finitely many members of strictly smaller measure."""
     m = _measure_fn(measure)
-    extra_a = list(a.difference(b))   # members only in a (the replacements)
-    extra_b = list(b.difference(a))   # members removed from b
+    extra_a = a.difference(b)   # members only in a (the replacements)
+    extra_b = b.difference(a)   # members removed from b
     if not extra_b:
         return False
     top = max(m(x) for x in extra_b)

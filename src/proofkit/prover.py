@@ -508,7 +508,7 @@ def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
     Cut per distinct pool formula, A fixed to it, and no measure."""
     if cut_pool is None:
         pool = set()
-        for f in list(s.ant) + list(s.suc):
+        for f in s.ant + s.suc:
             pool |= subformulas(f)
         cut_pool = sorted(pool, key=Formula.sort_key)
     if not cut_pool:

@@ -61,7 +61,7 @@ class UniformInterpolant:
 
 
 def _check_propositional(x):
-    fs = list(x.ant) + list(x.suc) if isinstance(x, Sequent) else [x]
+    fs = x.ant + x.suc if isinstance(x, Sequent) else (x,)
     for f in fs:
         for g in core.subformulas(f):
             if g.kind in core.UNARY:
@@ -175,7 +175,7 @@ def _forall_raw(ctx, ant, suc):
         if step[0] == "step":
             return _forall(ctx, step[1], suc)
         return fconj(_forall(ctx, step[1], suc), _forall(ctx, step[2], suc))
-    d = suc.items[0] if suc else None
+    d = suc[0] if suc else None
     if d is not None:
         if d.kind == core.TOP:
             return Top

@@ -39,7 +39,7 @@ def test_traced_queries_restore_every_binding(monkeypatch):
     try:
         s = syntax.parse_sequent("p & q => q & p")
         res = prover.prove(g4, s, cache=prover.ProverCache(g4))
-        gamma = FMultiset([s.ant.items[0]])
+        gamma = FMultiset([s.ant[0]])
         split = SplitAnt(gamma, s.ant.difference(gamma), s.suc)
         problem = interpolation.InterpolationProblem(g4, res.derivation, split)
         interpolation.craig_interpolate(problem, prover.ProverCache(g4))

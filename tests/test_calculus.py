@@ -102,7 +102,7 @@ def reference_match_side(side, ms, asg, i=0):
     order, tried on every remaining occurrence, the remainder copied at each
     step, and the contexts bound at the end of each side."""
     if i < len(side.pats):
-        pat, items = side.pats[i], ms.items
+        pat, items = side.pats[i], ms
         for idx, f in enumerate(items):
             asg2 = match_formula(pat, f, asg)
             if asg2 is not None:
@@ -542,7 +542,7 @@ def reference_instantiate(ms, asg):
             out += map(box, asg[side.boxed])
         return FMultiset(out)
 
-    return fill(ms.ant).items, fill(ms.suc).items
+    return fill(ms.ant), fill(ms.suc)
 
 
 class TestMergedInstantiation:
@@ -553,7 +553,7 @@ class TestMergedInstantiation:
     @staticmethod
     def check(rule, inst):
         for ms, got in zip(rule.premises, inst.premises):
-            assert (got.ant.items, got.suc.items) == \
+            assert (got.ant, got.suc) == \
                 reference_instantiate(ms, inst.assignment), (rule.name, inst.conclusion)
             for side, items in ((ms.ant, got.ant), (ms.suc, got.suc)):
                 if side.ctx is not None and not side.pats and side.boxed is None:

@@ -1,12 +1,13 @@
+import gc
 import itertools
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from proofkit.core import (FMultiset, Sequent, Top, Bot, atom, conj, disj,
-                           imp, neg, box, circle, atoms, degree, weight,
-                           subformulas, polarity_atoms, apply_subst,
+from proofkit.core import (EMPTY, FMultiset, Formula, Sequent, Top, Bot,
+                           atom, conj, disj, imp, neg, box, circle, atoms,
+                           degree, weight, subformulas, polarity_atoms, apply_subst,
                            interpret, multiset_less, sequent_less, sequent,
                            SplitAnt, RestInterp, seq_multiply, sub_multisets,
                            fconj, fdisj, fimp, fconj_all, fdisj_all)
@@ -137,12 +138,36 @@ class TestMultisets:
         a, b = FMultiset(xs), FMultiset(ys)
         want = Counter(xs) - Counter(ys)
         got = a.difference(b)
-        assert Counter(got.items) == want
+        assert Counter(got) == want
         assert got == FMultiset(want.elements())
         assert a.difference(ys) == got
         assert a.contains(b) == (not Counter(ys) - Counter(xs))
         assert a.contains(ys) == a.contains(b)
         assert a.contains(got) and a.contains(FMultiset())
+        # every result is a multiset in canonical order with the Counter's members
+        results = [(got, want), (a.add(*ys), Counter(xs) + Counter(ys)),
+                   (a.union(b), Counter(xs) + Counter(ys)),
+                   (a.union(ys), Counter(xs) + Counter(ys)),
+                   (a.support(), Counter(set(xs)))]
+        if xs:
+            results.append((a.remove(xs[-1]), Counter(xs) - Counter(xs[-1:])))
+        for res, counts in results:
+            assert type(res) is FMultiset and Counter(res) == counts
+            assert list(res) == sorted(res, key=Formula.sort_key)
+
+    def test_a_multiset_is_its_canonical_tuple(self):
+        m = FMultiset([p, q, q])
+        # one object: its only references are its members (and its class)
+        refs = [x for x in gc.get_referents(m) if x is not FMultiset]
+        assert len(refs) == 3 and all(isinstance(x, Formula) for x in refs)
+        one = FMultiset([p])
+        assert FMultiset() is EMPTY and FMultiset([]) is EMPTY
+        for empty in (one.remove(p), one.difference([p]), EMPTY.add(), EMPTY.union(()),
+                      EMPTY.support(), one.difference(one), FMultiset._wrap([])):
+            assert empty is EMPTY
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert FMultiset([q, p]) == (p, q) and FMultiset([q, p]) != (q, p)
 
     def test_sequent_keys_found_from_rendered_text(self):
         # formulas hash by identity; re-parsing yields the interned objects,

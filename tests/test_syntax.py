@@ -367,8 +367,8 @@ def assert_same_parse(entry, text):
     elif entry == "sequent":
         g, w = got[1], want[1]
         assert len(g.ant) == len(w.ant) and len(g.suc) == len(w.suc), text
-        assert all(a is b for a, b in zip(g.ant.items + g.suc.items,
-                                          w.ant.items + w.suc.items)), text
+        assert all(a is b for a, b in zip(g.ant + g.suc,
+                                          w.ant + w.suc)), text
     else:
         g, w = got[1], want[1]
         assert [len(side) for side in g] == [len(side) for side in w], text
