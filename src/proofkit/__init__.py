@@ -20,7 +20,7 @@ from .classify import (classify_rule, classify_calculus, is_focused_axiom,
 from .prover import (Derivation, SearchBudget, ProofSearchResult, ProverCache,
                      prove, prove_with_cut, decide, check_derivation,
                      min_depth, invert, split_disjunction, admissibility_probe,
-                     shared_cache)
+                     shared_cache, BudgetExceeded)
 from .interpolation import (InterpolationProblem, InterpolantCertificate,
                             axiom_interpolant, craig_interpolate,
                             verify_certificate, formula_interpolant)

@@ -16,10 +16,16 @@ Matching (`match_metasequent`) finds every instance of a schema sequent in
 a sequent.  What an occurrence needs to take a pattern is decided once
 (`_need`): its kind (an atom for p?, nothing for A), or its shape
 (`core.Formula.shape`) when the first child needs a kind (`imp/atom` for
-p? -> A).  `match_conclusion` and `axiom_instance` share one loop
-(`_instances`), which first skips any schema with a side that needs what
-no member of the sequent side is (`Side.kinds`; a search reads the
-sequent's kinds and shapes once per node, `sequent_kinds`).  Within a
+p? -> A).  A schema whose side needs what no member of the sequent side
+is (`Side.kinds`) has no instance there, and which schemas remain
+depends only on the set of member shapes on each side (`sequent_kinds`,
+read once per search node).  So each calculus keeps a schema table
+(`Calculus.dispatch`), filled as lookups miss: per side, a map from a
+shape set to the bitmask of the schemas whose side it admits, and a map
+from the two masks' intersection to the admitted axioms and rules in
+declaration order, a rule with fresh premise variables never among them.
+`match_conclusion` and `axiom_instance` pick their candidates by three
+dictionary lookups and match only those (`_instances`).  Within a
 schema the formula patterns of both sides are placed first, most specific
 first (`MetaSequent.plan`: p? -> A before p?, a metavariable already bound
 found by its occurrences), and the contexts are bound once per complete
@@ -94,6 +100,11 @@ class Side:
     def kinds(self) -> frozenset:
         """The kinds and shapes a matched side must contain (`_need`)."""
         return frozenset(map(_need, self.pats)) - {None}
+
+    def admits(self, shapes) -> bool:
+        """False when the side needs a kind or shape that no member of a
+        sequent side with these member shapes has."""
+        return self.kinds <= shapes.union(map(_SHAPE_KIND.get, shapes, shapes))
 
 
 _META_NEED = {core.FMETA: None, core.AMETA: core.ATOM}
@@ -183,7 +194,7 @@ class MetaSequent:
         """False when a side needs a kind or shape that the sequent, whose
         (antecedent, succedent) `sequent_kinds` are given, lacks: then no
         placement exists and the matcher need not scan the side."""
-        return self.ant.kinds <= kinds[0] and self.suc.kinds <= kinds[1]
+        return self.ant.admits(kinds[0]) and self.suc.admits(kinds[1])
 
     def __repr__(self):
         # contexts first in the antecedent, last in the succedent
@@ -304,6 +315,26 @@ class Calculus:
         of each schema, None for a side without one."""
         return {(not r.premises, r.name): (r.conclusion.ant.ctx, r.conclusion.suc.ctx)
                 for r in self.axioms + self.rules}
+
+    @cached_property
+    def dispatch(self):
+        """The schema table, (antecedent map, succedent map, admitted map),
+        filled as lookups miss.  A side map takes a side's `sequent_kinds`
+        to the bitmask of the schemas (axioms, then rules) whose conclusion
+        side admits it; the admitted map takes the two masks' intersection
+        to (axioms, rules) in declaration order, without fresh rules."""
+        schemas, n = self.axioms + self.rules, len(self.axioms)
+
+        def side_map(side):
+            return _Lookup(lambda shapes: sum(
+                1 << i for i, r in enumerate(schemas) if side(r.conclusion).admits(shapes)))
+
+        def admitted(mask):
+            live = [i for i, r in enumerate(schemas) if mask >> i & 1 and not r.fresh]
+            return (tuple(schemas[i] for i in live if i < n),
+                    tuple(schemas[i] for i in live if i >= n))
+
+        return side_map(attrgetter("ant")), side_map(attrgetter("suc")), _Lookup(admitted)
 
     def rule(self, name) -> RuleSchema:
         for r in self.rules:
@@ -623,12 +654,29 @@ def instantiate(ms: MetaSequent, asg) -> Sequent:
     return ms.filler(asg)
 
 
-def _instances(schemas, s: Sequent, kinds):
+class _Lookup(dict):
+    """A dict that fills a missing key with fill(key) and keeps it."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+def _admitted(calc: Calculus, kinds):
+    """(axioms, rules) of calc that may have an instance at a sequent
+    whose `sequent_kinds` are kinds: three lookups in `Calculus.dispatch`."""
+    ant, suc, admitted = calc.dispatch
+    return admitted[ant[kinds[0]] & suc[kinds[1]]]
+
+
+def _instances(schemas, s: Sequent):
     """Yield the instances of schemas whose conclusion is s: schema order,
     then principal-occurrence order."""
     for rule in schemas:
-        if rule.fresh or not rule.conclusion.admits(kinds):
-            continue
         for asg in match_metasequent(rule.conclusion, s, dict(rule.fixed) if rule.fixed else None):
             yield RuleInstance(rule, asg, s)
 
@@ -637,25 +685,20 @@ def match_conclusion(calc: Calculus, s: Sequent, kinds=None):
     """All rule instances of calc whose conclusion is s, in deterministic
     order: rule order, then principal-occurrence order.  kinds, when
     given, is `sequent_kinds(s)`."""
-    return list(_instances(calc.rules, s, kinds or sequent_kinds(s)))
+    return list(_instances(_admitted(calc, kinds or sequent_kinds(s))[1], s))
 
 
 def axiom_instance(calc: Calculus, s: Sequent, kinds=None):
     """The first axiom instance whose conclusion is s, else None.  kinds,
     when given, is `sequent_kinds(s)`."""
-    return next(_instances(calc.axioms, s, kinds or sequent_kinds(s)), None)
+    return next(_instances(_admitted(calc, kinds or sequent_kinds(s))[0], s), None)
 
 
 def sequent_kinds(s: Sequent):
-    """The kinds and shapes of the members on each side of s: what
-    `MetaSequent.admits` reads.  A search computes them once per node."""
-    return _side_kinds(s.ant), _side_kinds(s.suc)
-
-
-def _side_kinds(items):
-    """One pass reads the shapes; the kinds follow from the distinct ones."""
-    shapes = set(map(_shape, items))
-    return shapes.union(map(_SHAPE_KIND.get, shapes, shapes))
+    """The sets of member shapes (`core.Formula.shape`) on each side of s:
+    the key of a schema-table lookup, and what `MetaSequent.admits` reads.
+    A search computes them once per node."""
+    return frozenset(map(_shape, s.ant)), frozenset(map(_shape, s.suc))
 
 
 _shape = attrgetter("shape")

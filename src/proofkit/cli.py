@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = positive answer / success, 1 = negative answer (unprovable,
-defective, not terminating), 2 = usage or input error.  `--format
+defective, not terminating), 2 = usage or input error, or no answer (a
+search that ran out of budget).  `--format
 structured` prints stable `key: value` lines for scripting; text mode is
 the same content with a little prose.  All output is plain (NO_COLOR is
 moot) and deterministic.
@@ -84,7 +85,7 @@ def cmd_prove(args):
                 fh.write(emit_derivation(result.derivation, (with_cut(calc) if args.with_cut else calc).name))
             pairs.append(("written", args.emit))
     _emit(args, pairs, f"{s} : {result!r}")
-    return 0 if result.provable else 1
+    return {"provable": 0, "unprovable": 1}.get(result.status, 2)
 
 
 def cmd_check(args):
@@ -114,7 +115,7 @@ def cmd_interpolate(args):
         pis = parse_sequent(rest)
         split = SplitAnt(gamma, pis.ant, pis.suc)
         r = prove(calc, split.underlying())
-        if not r.provable:
+        if not r.answer():
             _emit(args, [("provable", "false")], "underlying sequent is unprovable")
             return 1
         cert = craig_interpolate(InterpolationProblem(calc, r.derivation, split))

@@ -221,7 +221,7 @@ def craig_interpolate(problem: InterpolationProblem,
     right = Sequent(split.pi.add(alpha), split.delta)
     lr = prove(calc, left, cache=cache)
     rr = prove(calc, right, cache=cache)
-    if not lr.provable or not rr.provable:
+    if not lr.answer() or not rr.answer():
         raise NotProvable(f"certificate sequents not derivable: {left!r} / {right!r}")
     return InterpolantCertificate(alpha, lr.derivation, rr.derivation)
 
@@ -267,7 +267,7 @@ def formula_interpolant(logic: str, f: Formula,
         calc = builtin("G4ip")
         cache = cache or shared_cache(calc)
         r = prove(calc, Sequent(FMultiset([a]), FMultiset([b])), cache=cache)
-        if not r.provable:
+        if not r.answer():
             raise NotProvable(repr(f))
         problem = InterpolationProblem(calc, r.derivation,
                                        SplitAnt(FMultiset([a]), FMultiset(), FMultiset([b])))

@@ -167,6 +167,14 @@ class ProofSearchResult:
     def provable(self):
         return self.status == "provable"
 
+    def answer(self) -> bool:
+        """Whether the sequent is provable, for callers that read a yes or
+        no: BudgetExceeded when the search ran out of budget, which is
+        neither."""
+        if self.status == "budget":
+            raise BudgetExceeded(f"search budget exhausted after {self.stats.nodes} nodes")
+        return self.status == "provable"
+
     def __repr__(self):
         if self.status == "provable":
             return f"Provable(depth {self.derivation.depth()})"
@@ -177,6 +185,10 @@ class ProofSearchResult:
 
 class _Budget(Exception):
     pass
+
+
+class BudgetExceeded(Exception):
+    """A search ran out of its budget, so the question has no answer."""
 
 
 class ProverCache:
@@ -531,11 +543,11 @@ def calculus_for_logic(logic: str) -> Calculus:
 
 def decide(logic: str, f: Formula, cache: ProverCache | None = None) -> bool:
     """Total decision procedure: proves (=> f) in the logic's terminating
-    calculus."""
+    calculus; BudgetExceeded if the search runs out of budget."""
     calc = calculus_for_logic(logic)
     if cache is None:
         cache = shared_cache(calc)
-    return prove(calc, Sequent(EMPTY, FMultiset([f])), cache=cache).provable
+    return prove(calc, Sequent(EMPTY, FMultiset([f])), cache=cache).answer()
 
 
 def split_disjunction(logic: str, f: Formula):
@@ -719,7 +731,7 @@ def admissibility_probe(calc: Calculus, rule: str, corpus, extras=None,
             if not with_cut.provable:
                 continue
             checked += 1
-            if not prove(calc, s, cache=cache).provable:
+            if not prove(calc, s, cache=cache).answer():
                 violations.append(s)
         return ProbeReport(calc.name, rule, checked, violations)
 

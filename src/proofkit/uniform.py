@@ -123,7 +123,7 @@ class _PittsContext:
         self.memo_e = {}
 
     def provable(self, ant: FMultiset, suc: FMultiset) -> bool:
-        return prove(self.calc, Sequent(ant, suc), cache=self.cache).provable
+        return prove(self.calc, Sequent(ant, suc), cache=self.cache).answer()
 
 
 def _rewrite_ant(ant: FMultiset):
@@ -387,7 +387,7 @@ def verify_uniform(calc, u: UniformInterpolant, psi_bound: int = 6,
     report = UniformReport(u.target, p)
 
     def holds(ant, suc):
-        return prove(calc, Sequent(ant, suc), cache=cache).provable
+        return prove(calc, Sequent(ant, suc), cache=cache).answer()
 
     names = tuple(sorted(atoms(u.target) - {p}))
     fa, ex = u.forall_part, u.exists_part

@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from dataclasses import replace
+from operator import le
 
 import pytest
 
@@ -501,6 +504,75 @@ class TestConclusionParity:
                    if top_admits(r, s)
                    and not r.conclusion.admits(calculus.sequent_kinds(s))}
         assert skipped == {"L&&", "L[]p->", "LT->", "R|&"}
+
+
+def admitted_reference(schemas, s):
+    """The schemas the table must admit at s, in declaration order."""
+    kinds = calculus.sequent_kinds(s)
+    return tuple(r for r in schemas if not r.fresh and r.conclusion.admits(kinds))
+
+
+# (antecedent sets, succedent sets, masks) each builtin's schema table
+# holds after its parity corpus, as measured: a key that stops collapsing
+# sequents of equal shapes overflows them
+TABLE_SIZES = {"G1cp": (30, 30, 20), "G1ip": (30, 13, 18), "G3cp": (50, 50, 32),
+               "G3ip": (50, 17, 26), "G4ip": (50, 17, 28), "G4iK": (69, 22, 25),
+               "G4iKD": (69, 22, 34), "G4LL": (69, 22, 27)}
+
+
+class TestDispatch:
+    """The schema table (`Calculus.dispatch`) admits exactly the schemas
+    whose conclusion admits the sequent's shapes, in declaration order,
+    and never a rule with fresh premise variables."""
+
+    @staticmethod
+    def check(calc, seqs):
+        for s in seqs:
+            got = calculus._admitted(calc, calculus.sequent_kinds(s))
+            assert got == (admitted_reference(calc.axioms, s),
+                           admitted_reference(calc.rules, s)), (calc.name, s)
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_builtin(self, name):
+        # a copy, so that no other test has filled its table
+        calc = from_document(parse_calculus(calculus._SOURCES[name.lower()]))
+        weight, modal = PARITY_CORPORA[name]
+        self.check(calc, corpus.sequents(("p", "q"), weight, calc.mode == "single", modal))
+        sizes = tuple(map(len, calc.dispatch))
+        assert all(map(le, sizes, TABLE_SIZES[name])), sizes
+        self.check(calc, reachable(calc, wide_roots(50), 25))
+
+    def test_user_calculi(self, monkeypatch):
+        nested = from_document(parse_calculus(NESTED_USER))
+        self.check(nested, list(corpus.sequents(("p", "q"), 6, True, "box"))
+                   + reachable(nested, wide_roots(50), 25))
+        # prove_with_cut searches calc plus one Cut per pool formula, each
+        # with its cut formula fixed
+        searched = []
+        real = prover.prove
+        monkeypatch.setattr(prover, "prove", lambda c, *a, **k: searched.append(c) or real(c, *a, **k))
+        prover.prove_with_cut(builtin("G3cp"), ps("p -> q, p => q | r"))
+        [cuts] = searched
+        assert [r.fixed for r in cuts.rules if r.name == "Cut"] == [
+            (("A", f),) for f in sorted({p, q, r, imp(p, q), disj(q, r)}, key=core.Formula.sort_key)]
+        seqs = list(corpus.sequents(("p", "q"), 4))
+        self.check(cuts, seqs + reachable(cuts, wide_roots(50), 25))
+        # plain Cut and Odd have fresh premise variables
+        for calc in (prover.with_cut(builtin("G3cp")), from_document(parse_calculus(
+                "calculus W\naxiom Ax : p? => p?\nrule Odd : G => A <- G => B\n"
+                "rule Fine : G => A & B <- G => A ; G => B"))):
+            assert any(r.fresh for r in calc.rules)
+            self.check(calc, seqs)
+
+    def test_one_table_per_calculus_object(self):
+        a, b = (from_document(parse_calculus(NESTED_USER)) for _ in range(2))
+        assert a == b
+        match_conclusion(a, ps("p & q => p"))
+        assert a.dispatch is not b.dispatch and a.dispatch[2] and not b.dispatch[2]
+        ref = weakref.ref(a.dispatch[0])
+        del a
+        gc.collect()
+        assert ref() is None
 
 
 class TestShapes:

@@ -1,8 +1,10 @@
 import io
 import sys
+from functools import partial
 
 import pytest
 
+from proofkit import prover
 from proofkit.cli import run
 from proofkit.proofio import load_derivation
 from proofkit.calculus import _SOURCES, builtin
@@ -36,6 +38,11 @@ class TestDecide:
         code, _, err = invoke(capsys, "decide", "--logic", "ipc", "p -> (")
         assert code == 2 and "error" in err
 
+    def test_budget_is_no_answer(self, capsys, monkeypatch):
+        monkeypatch.setattr(prover, "SearchBudget", partial(prover.SearchBudget, max_nodes=3))
+        code, out, err = invoke(capsys, "decide", "--logic", "ipc", "((s -> r) -> s) -> s")
+        assert code == 2 and out == "" and "BudgetExceeded" in err
+
 
 class TestProve:
     def test_emit_and_check(self, capsys, tmp_path):
@@ -52,6 +59,14 @@ class TestProve:
         code, _, _ = invoke(capsys, "prove", "--calculus", "g4ip",
                             "=> p | ~p")
         assert code == 1
+
+    def test_budget_exit(self, capsys):
+        # the search ran out of budget: neither a proof nor a refutation
+        code, out, _ = invoke(capsys, "--format", "structured", "prove", "--calculus", "g4ip",
+                              "--with-cut", "--max-nodes", "100", "=> ~p")
+        assert code == 2
+        assert out.splitlines() == ["calculus: G4ip", "sequent: => ~p", "status: budget",
+                                    "exhaustive: false", "nodes: 101"]
 
     def test_g1_refutation_is_exhaustive(self, capsys):
         code, out, _ = invoke(capsys, "--format", "structured", "prove",

@@ -2,11 +2,12 @@ import itertools
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from proofkit.core import FMultiset, Sequent, atom, conj, disj, imp, neg, Bot
+from proofkit.core import FMultiset, Sequent, SplitAnt, atom, conj, disj, imp, neg, Bot
 from proofkit import calculus, corpus, prover
 from proofkit.calculus import _SOURCES, builtin, from_document
 from proofkit.proofio import emit_derivation, load_derivation
@@ -15,6 +16,8 @@ from proofkit.prover import (Derivation, ProverCache, SearchBudget, NotADisjunct
                              check_derivation, min_depth, invert,
                              split_disjunction, admissibility_probe, with_cut)
 from proofkit.syntax import parse_calculus, parse_formula as pf, parse_sequent as ps
+from proofkit.interpolation import InterpolationProblem, craig_interpolate, formula_interpolant
+from proofkit.uniform import classical_uniform, ipc_uniform, verify_uniform
 
 p, q = atom("p"), atom("q")
 
@@ -418,6 +421,28 @@ class TestDecide:
         assert decide("LL", pf("OOp -> Op"))
         assert decide("LL", pf("p -> Op"))
         assert decide("LL", pf("Op & Oq -> O(p & q)"))
+
+    def test_budget_is_never_unprovable(self, monkeypatch):
+        # every yes/no reader of a search raises on a budget result
+        monkeypatch.setattr(prover, "SearchBudget", partial(SearchBudget, max_nodes=3))
+        g4ip, g3cp = builtin("G4ip"), builtin("G3cp")
+        peirce = pf("((s -> r) -> s) -> s")
+        # the certificate sequents of a derivation found with the full budget
+        s = ps("p & q, (p -> r) & (q -> s) => r & s")
+        proved = prove(g4ip, s, budget=SearchBudget())
+        split = SplitAnt(FMultiset([s.ant[0]]), FMultiset([s.ant[1]]), s.suc)
+        target = Sequent(FMultiset([peirce]), FMultiset([pf("r")]))
+        for ask in (lambda: decide("IPC", peirce, ProverCache(g4ip)),
+                    lambda: split_disjunction("IPC", pf("(((r -> s) -> r) -> r) | s")),
+                    lambda: formula_interpolant("IPC", imp(peirce, pf("s | r")), ProverCache(g4ip)),
+                    lambda: formula_interpolant("CPC", imp(peirce, pf("s & (r -> r)"))),
+                    lambda: craig_interpolate(InterpolationProblem(g4ip, proved.derivation, split),
+                                              ProverCache(g4ip)),
+                    lambda: ipc_uniform(ps("(r -> s) -> r, s | r => r & s"), "s", ProverCache(g4ip)),
+                    lambda: verify_uniform(g3cp, classical_uniform(target, "s"),
+                                           cache=ProverCache(g3cp))):
+            with pytest.raises(prover.BudgetExceeded):
+                ask()
 
     def test_kreisel_putnam_instance(self):
         assert not decide("IPC", pf("(~p -> q | r) -> ((~p -> q) | (~p -> r))"))
