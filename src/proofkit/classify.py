@@ -65,8 +65,8 @@ def _classify_modal(rule: RuleSchema):
     # D: premise G, phis => , conclusion ... []G, []phis => D
     if not ps_pats:
         if len(c_pats) == len(p_pats) and not s_pats:
-            boxed = sorted((box(p).sort_key() for p in p_pats))
-            have = sorted((p.sort_key() for p in c_pats))
+            boxed = sorted(box(p)._key for p in p_pats)
+            have = sorted(p._key for p in c_pats)
             if boxed == have:
                 return Classification(MODAL_D)
         return None

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from dataclasses import replace
 
 from .core import FMultiset, Sequent, SplitAnt, atoms
 from .calculus import builtin, builtin_names, from_document
@@ -24,7 +25,7 @@ from .hilbert import check_hilbert
 from .nd import check_nd, find_detours, normalize, last_rule_kind
 from .proofio import (emit_derivation, emit_nd, load_derivation, load_hilbert,
                       load_nd)
-from .prover import (SearchBudget, check_derivation, decide, prove,
+from .prover import (CUT_BUDGET, SearchBudget, check_derivation, decide, prove,
                      prove_with_cut, with_cut)
 from .syntax import (ParseError, SourceSpan, parse_calculus, parse_formula,
                      parse_sequent, render_formula)
@@ -70,11 +71,13 @@ def cmd_decide(args):
 def cmd_prove(args):
     calc = _load_calculus(args.calculus)
     s = parse_sequent(_read_arg(args.sequent))
-    budget = SearchBudget(args.max_depth, args.max_nodes)
+    # a flag overrides only its own field of the entry point's default budget
+    given = {k: v for k, v in (("max_depth", args.max_depth), ("max_nodes", args.max_nodes))
+             if v is not None}
     if args.with_cut:
-        result = prove_with_cut(calc, s, budget=budget)
+        result = prove_with_cut(calc, s, budget=replace(CUT_BUDGET, **given))
     else:
-        result = prove(calc, s, budget=budget)
+        result = prove(calc, s, budget=SearchBudget(**given))
     pairs = [("calculus", calc.name), ("sequent", str(s)),
              ("status", result.status), ("exhaustive", str(result.exhaustive).lower()),
              ("nodes", result.stats.nodes)]
@@ -267,8 +270,8 @@ def build_parser():
     p.add_argument("sequent")
     p.add_argument("--emit", help="write the derivation to this .drv file")
     p.add_argument("--with-cut", action="store_true")
-    p.add_argument("--max-depth", type=int, default=4096)
-    p.add_argument("--max-nodes", type=int, default=5_000_000)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--max-nodes", type=int)
     p.set_defaults(fn=cmd_prove)
 
     p = sub.add_parser("check", help="check a .drv derivation file")

@@ -151,6 +151,11 @@ class SearchBudget:
             raise ValueError("budget must be positive")
 
 
+# prove_with_cut's default: a cut on a pool formula can always be tried
+# again, so its branches are cut off at a shallow depth
+CUT_BUDGET = SearchBudget(max_depth=64)
+
+
 @dataclass
 class SearchStats:
     nodes: int = 0
@@ -528,7 +533,7 @@ def prove_with_cut(calc: Calculus, s: Sequent, cut_pool=None,
     rules = [replace(r, invertible=frozenset()) for r in calc.rules]
     rules += [replace(cut_rule(calc.mode), fixed=(("A", f),)) for f in dict.fromkeys(cut_pool)]
     derived = Calculus(calc.name + "+Cut", calc.mode, calc.axioms, rules, None, calc.wc_admissible)
-    return prove(derived, s, budget or SearchBudget(max_depth=64))
+    return prove(derived, s, budget or CUT_BUDGET)
 
 
 _LOGIC_CALCULI = {"CPC": "G3cp", "IPC": "G4ip", "IK": "G4iK", "IKD": "G4iKD", "LL": "G4LL"}

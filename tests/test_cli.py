@@ -4,7 +4,7 @@ from functools import partial
 
 import pytest
 
-from proofkit import prover
+from proofkit import cli, prover
 from proofkit.cli import run
 from proofkit.proofio import load_derivation
 from proofkit.calculus import _SOURCES, builtin
@@ -67,6 +67,29 @@ class TestProve:
         assert code == 2
         assert out.splitlines() == ["calculus: G4ip", "sequent: => ~p", "status: budget",
                                     "exhaustive: false", "nodes: 101"]
+
+    @pytest.mark.parametrize("flags, cut_budget, plain_budget", [
+        ((), (64, 5_000_000), (4096, 5_000_000)),
+        (("--max-depth", "9"), (9, 5_000_000), (9, 5_000_000)),
+        (("--max-nodes", "7"), (64, 7), (4096, 7)),
+    ])
+    def test_flags_override_only_their_field(self, capsys, monkeypatch, flags, cut_budget,
+                                             plain_budget):
+        # each entry point keeps its own default for a flag not given: the
+        # cut search's depth 64, not the plain search's 4096
+        got = {}
+
+        def record(name):
+            def search(calc, s, budget=None):
+                got[name] = (budget.max_depth, budget.max_nodes)
+                return prover.ProofSearchResult("budget")
+            return search
+
+        monkeypatch.setattr(cli, "prove_with_cut", record("cut"))
+        monkeypatch.setattr(cli, "prove", record("plain"))
+        for extra in (("--with-cut",), ()):
+            assert invoke(capsys, "prove", "--calculus", "g4ip", *extra, *flags, "=> ~p")[0] == 2
+        assert got == {"cut": cut_budget, "plain": plain_budget}
 
     def test_g1_refutation_is_exhaustive(self, capsys):
         code, out, _ = invoke(capsys, "--format", "structured", "prove",

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ from proofkit.core import (EMPTY, FMultiset, Formula, Sequent, Top, Bot,
                            degree, weight, subformulas, polarity_atoms, apply_subst,
                            interpret, multiset_less, sequent_less, sequent,
                            SplitAnt, RestInterp, seq_multiply, sub_multisets,
-                           fconj, fdisj, fimp, fconj_all, fdisj_all)
+                           fconj, fdisj, fimp, fconj_all, fdisj_all, fmeta, ameta)
 from proofkit.syntax import parse_formula as pf, parse_sequent as ps
 from proofkit import corpus
 
@@ -30,6 +31,38 @@ def formula_strategy(names=("p", "q"), max_leaves=8):
             st.builds(circle, sub),
         ),
         max_leaves=max_leaves)
+
+
+# reference definitions of the stored facts, recursive as in the notes
+_RANK = {"bot": 0, "top": 1, "atom": 2, "ameta": 3, "fmeta": 4,
+         "box": 5, "circle": 6, "and": 7, "or": 8, "imp": 9}
+
+
+def ref_weight(f):
+    if f.kind in ("box", "circle"):
+        return ref_weight(f.a) + 1
+    if f.kind in ("and", "or", "imp"):
+        return ref_weight(f.a) + ref_weight(f.b) + (2 if f.kind == "and" else 1)
+    return 1
+
+
+def ref_degree(f):
+    if f.kind in ("box", "circle"):
+        return ref_degree(f.a) + 1
+    if f.kind in ("and", "or", "imp"):
+        return ref_degree(f.a) + ref_degree(f.b) + 1
+    return 0 if f.kind in ("top", "bot") else 1
+
+
+def ref_key(f):
+    rank = _RANK[f.kind]
+    if f.kind in ("top", "bot"):
+        return (1, rank)
+    if f.kind in ("box", "circle"):
+        return (ref_weight(f), rank, ref_key(f.a))
+    if f.kind in ("and", "or", "imp"):
+        return (ref_weight(f), rank, ref_key(f.a), ref_key(f.b))
+    return (1, rank, f.a)
 
 
 class TestFormulas:
@@ -91,6 +124,30 @@ class TestFormulas:
     def test_polarity_union(self, f):
         pos, negs = polarity_atoms(f)
         assert pos | negs == atoms(f)
+
+    @given(st.lists(formula_strategy(("p", "q", "r")), max_size=8))
+    @settings(max_examples=300, deadline=None)
+    def test_stored_facts_match_the_recursive_definitions(self, xs):
+        pats = [fmeta("A"), ameta("p"), imp(ameta("p"), fmeta("B")), box(fmeta("A")),
+                conj(fmeta("A"), Top), disj(circle(ameta("q")), neg(fmeta("A")))]
+        for f in xs + pats:
+            assert (weight(f), degree(f)) == (ref_weight(f), ref_degree(f))
+            assert Formula.sort_key(f) == ref_key(f)
+        assert sorted(xs, key=Formula.sort_key) == sorted(xs, key=ref_key)
+        assert list(FMultiset(xs + pats)) == sorted(xs + pats, key=ref_key)
+
+    def test_facts_beyond_the_recursion_limit(self):
+        f = p
+        for _ in range(20_000):
+            f = imp(q, f)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            facts = (weight(f), degree(f), atoms(f), Formula.sort_key(f)[:2],
+                     FMultiset([f, p]), polarity_atoms(f))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert facts == (40_001, 40_001, {"p", "q"}, (40_001, 9), (p, f), ({"p"}, {"q"}))
 
 
 class TestSubstitution:
