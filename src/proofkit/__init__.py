@@ -5,13 +5,12 @@ backward chaining over rule-instance matching, and the interpolation
 extractors produce certificates the prover re-checks.
 """
 
-from .core import (Formula, FMultiset, Sequent, SplitAnt, RestInterp,
-                   Top, Bot, atom, conj, disj, imp, neg, box,
-                   circle, atoms, degree, weight, subformulas, polarity_atoms,
-                   apply_subst, interpret, multiset_less, sequent_less,
-                   sequent)
+from .core import (Formula, FMultiset, Sequent, SplitAnt, Top, Bot, atom,
+                   conj, disj, imp, neg, box, circle, atoms, degree, weight,
+                   subformulas, polarity_atoms, apply_subst, interpret,
+                   multiset_less, sequent_less, sequent)
 from .syntax import (ParseError, SourceSpan, parse_formula, parse_sequent,
-                     parse_calculus, render, render_formula, render_sequent)
+                     parse_calculus, render_formula, render_sequent)
 from .calculus import (Calculus, MetaSequent, RuleSchema, RuleInstance,
                        UnknownCalculus, builtin, builtin_names, from_document,
                        match_conclusion, axiom_instance, is_instance_finite)

@@ -577,7 +577,8 @@ def _compile_matcher(ms: MetaSequent, key):
         if not placed:
             destructure(pat, f"g{j}", 2 if need in _SHAPE_KIND else need is not None, depth)
         at[slot] = f"i{j}"
-    # contexts: inline for a plain one nobody bound, else _bind_contexts
+    # contexts: inline for a plain one nobody bound, _bind_contexts for a boxed
+    # or bound one; a side with neither was taken whole by the length test
     entries, binds, na = [f"{n!r}: {local[n]}" for n in new], [], len(ms.ant.pats)
     for n, (side, row) in enumerate(zip(sides, rows)):
         taken = [at[t] for t in (range(na) if n == 0 else range(na, len(plan)))]
@@ -593,7 +594,7 @@ def _compile_matcher(ms: MetaSequent, key):
             else:
                 entries.append(f"{side.ctx!r}: {rest}")
         # a name the antecedent bound is checked, not rebound, in the succedent
-        bound.update((side.ctx, side.boxed))
+        bound.update(v for v in (side.ctx, side.boxed) if v is not None)
     emit("d = {" + ", ".join(["**asg"] * (key is not None) + entries) + "}", depth)
     for line in binds:
         emit(line, depth)

@@ -25,8 +25,8 @@ from .hilbert import check_hilbert
 from .nd import check_nd, find_detours, normalize, last_rule_kind
 from .proofio import (emit_derivation, emit_nd, load_derivation, load_hilbert,
                       load_nd)
-from .prover import (CUT_BUDGET, SearchBudget, check_derivation, decide, prove,
-                     prove_with_cut, with_cut)
+from .prover import (CUT_BUDGET, SearchBudget, calculus_for_logic, check_derivation,
+                     decide, prove, prove_with_cut, with_cut)
 from .syntax import (ParseError, SourceSpan, parse_calculus, parse_formula,
                      parse_sequent, render_formula)
 from .uniform import classical_uniform, ipc_uniform, verify_uniform
@@ -155,14 +155,13 @@ def cmd_interpolate(args):
 def cmd_uinterp(args):
     text = _read_arg(args.target)
     target = parse_sequent(text) if "=>" in text else parse_formula(text)
+    calc = calculus_for_logic(args.logic)
     if args.logic == "cpc":
         u = classical_uniform(target, args.atom)
-        calc = builtin("G3cp")
     else:
         if not isinstance(target, Sequent):
             target = Sequent(FMultiset(), FMultiset([target]))
         u = ipc_uniform(target, args.atom)
-        calc = builtin("G4ip")
     pairs = [("atom", args.atom),
              ("forall", render_formula(u.forall_part)),
              ("exists", render_formula(u.exists_part))]

@@ -494,35 +494,6 @@ class SplitAnt:
         return f"{g} ; {p} => {d}"
 
 
-class RestInterp:
-    """A componentwise split S = S^r . S^i used by uniform interpolation."""
-
-    __slots__ = ("rest", "interp")
-
-    def __init__(self, rest: Sequent, interp: Sequent):
-        self.rest = rest
-        self.interp = interp
-
-    def underlying(self) -> Sequent:
-        return Sequent(self.rest.ant.union(self.interp.ant),
-                       self.rest.suc.union(self.interp.suc))
-
-    def __eq__(self, other):
-        return (isinstance(other, RestInterp) and self.rest == other.rest
-                and self.interp == other.interp)
-
-    def __hash__(self):
-        return hash((self.rest, self.interp))
-
-    def __repr__(self):
-        return f"({self.rest!r} . {self.interp!r})"
-
-
-def seq_multiply(s1: Sequent, s2: Sequent) -> Sequent:
-    """Componentwise multiset union of two sequents."""
-    return Sequent(s1.ant.union(s2.ant), s1.suc.union(s2.suc))
-
-
 # ---------------------------------------------------------------------------
 # Dershowitz-Manna orders
 

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from . import core
 from .core import (Formula, FMultiset, Sequent, SplitAnt, Top, Bot, atoms,
                    fconj, fconj_all, fdisj_all, fimp, imp)
-from .calculus import (Calculus, RuleSchema, Side, axiom_instance, builtin,
-                       subst_pattern)
+from .calculus import Calculus, RuleSchema, Side, axiom_instance, subst_pattern
 from .classify import classify_rule, MODAL_D, MODAL_K, RIGHT
-from .prover import (Derivation, ProverCache, check_derivation, prove,
-                     shared_cache, witness)
+from .prover import (Derivation, ProverCache, calculus_for_logic, check_derivation,
+                     prove, shared_cache, witness)
 
 
 class NotAnAxiom(Exception):
@@ -264,7 +263,7 @@ def formula_interpolant(logic: str, f: Formula,
     a, b = f.a, f.b
     logic = logic.upper()
     if logic == "IPC":
-        calc = builtin("G4ip")
+        calc = calculus_for_logic(logic)
         cache = cache or shared_cache(calc)
         r = prove(calc, Sequent(FMultiset([a]), FMultiset([b])), cache=cache)
         if not r.answer():

@@ -51,6 +51,8 @@ class Inf:
 INTRO_RULES = ("I&", "I|0", "I|1", "I->")
 ELIM_RULES = ("E&0", "E&1", "E|", "E->", "Eibot", "Ecbot")
 _DISCHARGE_ARITY = {"I->": 1, "E|": 2, "Ecbot": 1}
+# a detour: an elimination whose major premise ends in the matching introduction
+_DETOURS = {("E&0", "I&"), ("E&1", "I&"), ("E|", "I|0"), ("E|", "I|1"), ("E->", "I->")}
 
 
 def tree_size(d) -> int:
@@ -211,18 +213,8 @@ def find_detours(d):
     def walk(node, path):
         if isinstance(node, Assume):
             return
-        r = node.rule
         major = node.children[0] if node.children else None
-        if isinstance(major, Inf):
-            if r in ("E&0", "E&1") and major.rule == "I&":
-                out.append(path)
-            elif r == "E|" and major.rule in ("I|0", "I|1"):
-                out.append(path)
-            elif r == "E->" and major.rule == "I->":
-                out.append(path)
-            elif _rebuilding_cases(node):
-                out.append(path)
-        elif isinstance(node, Inf) and node.rule == "E|" and _rebuilding_cases(node):
+        if (node.rule, getattr(major, "rule", None)) in _DETOURS or _rebuilding_cases(node):
             out.append(path)
         for i, c in enumerate(node.children):
             walk(c, path + (i,))
@@ -306,9 +298,11 @@ def reduce_detour(d, path):
     if not isinstance(node, Inf) or not node.children:
         raise NotADetour(f"no elimination at {path}")
     major = node.children[0]
-    if node.rule in ("E&0", "E&1") and isinstance(major, Inf) and major.rule == "I&":
-        new = major.children[0 if node.rule == "E&0" else 1]
-    elif node.rule == "E|" and isinstance(major, Inf) and major.rule in ("I|0", "I|1"):
+    if (node.rule, getattr(major, "rule", None)) not in _DETOURS:
+        if not _rebuilding_cases(node):
+            raise NotADetour(f"node at {path} is not a detour")
+        new = major
+    elif node.rule == "E|":
         which = 0 if major.rule == "I|0" else 1
         branch = node.children[1 + which]
         label = node.discharged[which]
@@ -316,16 +310,14 @@ def reduce_detour(d, path):
         # the first copy keeps its labels; later copies are relabelled apart
         new, _ = _substitute(branch, label, inserted,
                              _labels_of(d) - _labels_of(inserted))
-    elif node.rule == "E->" and isinstance(major, Inf) and major.rule == "I->":
+    elif node.rule == "E->":
         label = major.discharged[0]
         body = major.children[0]
         inserted = node.children[1]
         new, _ = _substitute(body, label, inserted,
                              _labels_of(d) - _labels_of(inserted))
-    elif _rebuilding_cases(node):
-        new = major
     else:
-        raise NotADetour(f"node at {path} is not a detour")
+        new = major.children[0 if node.rule == "E&0" else 1]
     return _replace_at(d, path, new)
 
 

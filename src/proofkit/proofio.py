@@ -130,6 +130,8 @@ def load_nd(text: str):
             if not sep:
                 raise FormatError(f"missing '::' in {body!r}")
             parts = head.split(None, 2)
+            if len(parts) < 2 or parts[1].startswith("["):
+                raise FormatError(f"missing rule name in {body!r}")
             rule = parts[1]
             labels = ()
             if len(parts) > 2:
@@ -168,6 +170,10 @@ def emit_hilbert(proof: HilbertProof, system: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# justification -> number of integer arguments
+_JUST_ARITY = {"assumption": 1, "axiom": 1, "dne": 0, "mp": 2}
+
+
 def load_hilbert(text: str):
     """Returns (system or None, HilbertProof)."""
     system = None
@@ -190,18 +196,14 @@ def load_hilbert(text: str):
         if not br or not just_text.endswith("]"):
             raise FormatError(f"missing [justification] in {line!r}")
         formula = parse_formula(body.strip())
-        words = just_text[:-1].split()
-        if words[0] == "assumption":
-            just = ("assumption", int(words[1]) - 1)
-        elif words[0] == "axiom":
-            just = ("axiom", int(words[1]))
-        elif words[0] == "dne":
-            just = ("dne",)
-        elif words[0] == "mp":
-            just = ("mp", int(words[1]) - 1, int(words[2]) - 1)
-        else:
-            raise FormatError(f"unknown justification {words[0]!r}")
-        steps.append(Step(formula, just))
+        tag, *words = just_text[:-1].split() or [""]
+        if tag not in _JUST_ARITY:
+            raise FormatError(f"unknown justification {tag!r} in {line!r}")
+        if len(words) != _JUST_ARITY[tag] or not all(w.isdigit() for w in words):
+            raise FormatError(f"{tag} takes {_JUST_ARITY[tag]} integer argument(s): {line!r}")
+        # axioms keep their number; step and assumption numbers count from 1
+        nums = [int(w) - (tag != "axiom") for w in words]
+        steps.append(Step(formula, (tag, *nums)))
     if not steps:
         raise FormatError("no steps in Hilbert proof")
     return system, HilbertProof(assumptions, steps)

@@ -188,10 +188,6 @@ class ProofSearchResult:
         return f"BudgetExceeded(nodes={self.stats.nodes})"
 
 
-class _Budget(Exception):
-    pass
-
-
 class BudgetExceeded(Exception):
     """A search ran out of its budget, so the question has no answer."""
 
@@ -276,7 +272,7 @@ class _Search:
             seen.add(s)
             self.stats.nodes += 1
             if self.stats.nodes > self.budget.max_nodes:
-                raise _Budget()
+                raise BudgetExceeded()
             kinds = sequent_kinds(s)
             ax = axiom_instance(self.searched, s, kinds)
             if ax is not None:
@@ -327,7 +323,7 @@ class _Search:
             return False, True
         self.stats.nodes += 1
         if self.stats.nodes > self.budget.max_nodes:
-            raise _Budget()
+            raise BudgetExceeded()
 
         kinds = sequent_kinds(s)
         ax = axiom_instance(self.searched, s, kinds)
@@ -510,7 +506,7 @@ def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
     search = _Search(calc, budget, cache)
     try:
         ok, absolute = search.solve(root)
-    except _Budget:
+    except BudgetExceeded:
         return ProofSearchResult("budget", stats=search.stats)
     if ok:
         return ProofSearchResult("provable", search.build(s, root), True, search.stats)

@@ -265,18 +265,6 @@ def render_sequent(s: Sequent) -> str:
     return "=>"
 
 
-def render(x) -> str:
-    if isinstance(x, Formula):
-        return render_formula(x)
-    if isinstance(x, Sequent):
-        return render_sequent(x)
-    from .prover import Derivation
-    if isinstance(x, Derivation):
-        from .proofio import emit_derivation
-        return emit_derivation(x)
-    raise TypeError(f"cannot render {type(x).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # calculus documents
 

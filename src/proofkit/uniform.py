@@ -38,7 +38,7 @@ from .core import (Formula, FMultiset, Sequent, Top, Bot, atom, atoms,
                    sub_multisets)
 from .calculus import builtin, builtin_names
 from .corpus import formulas as corpus_formulas
-from .prover import ProverCache, prove, shared_cache
+from .prover import ProverCache, calculus_for_logic, prove, shared_cache
 
 
 class NonPropositional(Exception):
@@ -117,7 +117,7 @@ def classical_uniform(target, p: str) -> UniformInterpolant:
 class _PittsContext:
     def __init__(self, p: str, cache: ProverCache | None = None):
         self.p = p
-        self.calc = builtin("G4ip")
+        self.calc = calculus_for_logic("IPC")
         self.cache = cache or shared_cache(self.calc)
         self.memo_a = {}
         self.memo_e = {}
@@ -326,7 +326,7 @@ def _sub_uniform(calc, target, p, cache):
     G4ip otherwise; the cache is reused only when it is G4ip's."""
     if calc.mode == "multi":
         return classical_uniform(target, p)
-    return ipc_uniform(target, p, cache if cache.calc is builtin("G4ip") else None)
+    return ipc_uniform(target, p, cache if cache.calc is calculus_for_logic("IPC") else None)
 
 
 def _psi_corpus(calc, names: tuple, psi_bound: int, cache: ProverCache, holds) -> list:

@@ -331,6 +331,31 @@ class TestCompiledMatchers:
         assert not prover.prove(calc, ps("p => q")).provable
         assert prover.prove(calc, ps("p, q => q, p")).provable
 
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_contexts_bound_by_call_only_when_boxed_or_bound(self, name, monkeypatch):
+        """A matcher calls `_bind_contexts` only for a boxed context or a
+        context its assignment already binds: a side without a context is
+        settled by the length test, a plain unbound one inline."""
+        calls = []
+
+        def recording(side, ms, taken, asg):
+            calls.append((side, asg))
+            return bind(side, ms, taken, asg)
+
+        bind = calculus._bind_contexts
+        monkeypatch.setattr(calculus, "_bind_contexts", recording)
+        # a copy, so that its matchers are compiled after the wrapper is in
+        calc = from_document(parse_calculus(calculus._SOURCES[name.lower()]))
+        modal = PARITY_CORPORA[name][1]
+        for s in corpus.sequents(("p", "q"), 4, calc.mode == "single", modal):
+            prover.prove(calc, s)
+        bad = [side for side, asg in calls if side.boxed is None and side.ctx not in asg]
+        assert not bad, (len(bad), bad[0])
+        # the wrapper saw the matchers: the modal calculi bind boxed contexts
+        boxed = [side for r in calc.axioms + calc.rules
+                 for side in (r.conclusion.ant, r.conclusion.suc) if side.boxed]
+        assert bool(calls) == bool(boxed)
+
 
 def wide_sequent(seed, modal, single):
     """A seeded sequent with an antecedent of 30-80 formulas: small random

@@ -10,7 +10,7 @@ from proofkit.core import (EMPTY, FMultiset, Formula, Sequent, Top, Bot,
                            atom, conj, disj, imp, neg, box, circle, atoms,
                            degree, weight, subformulas, polarity_atoms, apply_subst,
                            interpret, multiset_less, sequent_less, sequent,
-                           SplitAnt, RestInterp, seq_multiply, sub_multisets,
+                           SplitAnt, sub_multisets,
                            fconj, fdisj, fimp, fconj_all, fdisj_all, fmeta, ameta)
 from proofkit.syntax import parse_formula as pf, parse_sequent as ps
 from proofkit import corpus
@@ -374,7 +374,12 @@ class TestPartitions:
         sp = SplitAnt([p], [q], [r])
         assert sp.underlying() == ps("p, q => r")
 
-    def test_rest_interp_multiply(self):
-        ri = RestInterp(ps("p =>"), ps("q => r"))
-        assert ri.underlying() == ps("p, q => r")
-        assert seq_multiply(ps("p =>"), ps("q => r")) == ps("p, q => r")
+
+class TestCorpus:
+    @pytest.mark.parametrize("names", [("p",), ("p", "q")])
+    @pytest.mark.parametrize("single", [False, True])
+    @pytest.mark.parametrize("modal", [None, "box"])
+    def test_count_sequents_matches_the_enumeration(self, names, single, modal):
+        for w in range(7):
+            counted = corpus.count_sequents(names, w, single, modal)
+            assert counted == sum(1 for _ in corpus.sequents(names, w, single, modal)), w

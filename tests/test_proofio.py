@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from proofkit.core import atom, conj, imp
@@ -83,3 +85,18 @@ class TestHilbert:
             load_hilbert("1. p [zap]\n")
         with pytest.raises(FormatError):
             load_hilbert("1. p\n")
+
+
+@pytest.mark.parametrize("load, line", [
+    (load_hilbert, "1. p []"),
+    (load_hilbert, "1. p [axiom]"),
+    (load_hilbert, "1. p [mp 1]"),
+    (load_hilbert, "1. p [assumption x]"),
+    (load_hilbert, "1. p [mp a b]"),
+    (load_nd, "nd :: p"),
+])
+def test_malformed_line_is_a_format_error(load, line):
+    # a justification of the wrong arity or with a non-integer argument, or
+    # an inference without a rule name, is rejected with the line named
+    with pytest.raises(FormatError, match=re.escape(line)):
+        load(line + "\n")

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 from proofkit.core import (FMultiset, Sequent, Top, Bot, atom, atoms, conj,
-                           disj, imp, neg, box, seq_multiply)
+                           disj, imp, neg, box)
 from proofkit.calculus import _SOURCES, builtin, builtin_names, from_document
 from proofkit.prover import ProverCache, decide, prove, shared_cache
 from proofkit.uniform import (NonPropositional, UniformInterpolant, UniformReport,
@@ -224,7 +224,7 @@ def reference_verify(calc, u, psi_bound, cache, memo):
                 ui = _sub_uniform(calc, s_i, p, cache)
                 fa_i, ex_i = ui.forall_part, ui.exists_part
                 if multi:
-                    goal = seq_multiply(s_r, Sequent(FMultiset([ex_i]), FMultiset([fa_i])))
+                    goal = Sequent(s_r.ant.add(ex_i), s_r.suc.add(fa_i))
                     ok = holds(list(goal.ant), list(goal.suc))
                 elif s.suc and not s_r.suc:
                     ok = holds(list(s_r.ant) + [ex_i], [fa_i])
