@@ -371,10 +371,9 @@ class FMultiset(tuple):
 
     def support(self) -> "FMultiset":
         """Each distinct member once (self when there are no duplicates)."""
-        xs = dict.fromkeys(self)
-        if len(xs) == len(self):
+        if len(set(self)) == len(self):
             return self
-        return FMultiset._wrap(xs)
+        return FMultiset._wrap(dict.fromkeys(self))
 
     def __repr__(self):
         return "{" + ", ".join(map(repr, self)) + "}"

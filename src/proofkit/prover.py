@@ -5,8 +5,10 @@ terminating calculi (a registered termination measure) plain memoized
 recursion is a decision procedure.  For the rest the engine keeps the current
 branch and fails on repeats; refutations computed below a repeat hit are not
 cached, so cached refutations always come from exhaustive subsearches.
-A sequent's derivation is built once, when it is proved, from the derivations
-already stored for its premises.  A query whose root (the sequent searched:
+A proved sequent is cached with its proof record, the instance that closed
+it; its derivation is built when a caller first reads one, from the records
+below it, and then stored in their place, so a caller that reads only the
+answer pays for no derivation.  A query whose root (the sequent searched:
 its support form when set-reduced) is cached returns before any search is
 set up, with 0 nodes; an instance's premises are built when first tried.
 When a premise a rule declares invertible (`RuleSchema.invertible`) fails
@@ -24,7 +26,7 @@ and what that calculus declares or implies picks the rest:
     saturating the finite space of reachable support sequents.
   - weakening and contraction rules (`Calculus.structural`, the G1
     calculi): search runs in the G3 form, decided by saturation as above,
-    and each derivation found is rewritten into the calculus's own rules
+    and each derivation read is rewritten into the calculus's own rules
     (contractions before a rule, weakenings above an axiom or a padded
     premise).
 
@@ -35,7 +37,7 @@ rule per cut formula (`RuleSchema.fixed`).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from . import core
@@ -55,9 +57,6 @@ class NotADisjunction(Exception):
     pass
 
 
-_set = object.__setattr__
-
-
 class Derivation:
     """Tree of sequents; leaves are axiom instances, inner nodes rule
     applications.  `rule` is the axiom or rule name, `assignment` the
@@ -74,11 +73,11 @@ class Derivation:
     __slots__ = ("conclusion", "rule", "assignment", "children", "checked")
 
     def __init__(self, conclusion, rule, assignment=None, children=()):
-        _set(self, "conclusion", conclusion)
-        _set(self, "rule", rule)
-        _set(self, "assignment", assignment)
-        _set(self, "children", tuple(children))
-        _set(self, "checked", None)
+        _set_conclusion(self, conclusion)
+        _set_rule(self, rule)
+        _set_assignment(self, assignment)
+        _set_children(self, tuple(children))
+        _set_checked(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Derivation is immutable; cannot set {name!r}")
@@ -125,6 +124,12 @@ class Derivation:
         return f"<{self.rule} derivation of {self.conclusion!r}, depth {self.depth()}>"
 
 
+# each slot's own setter (Derivation.__setattr__ refuses): cheaper than
+# object.__setattr__, which looks the slot up by name on every call
+_set_conclusion, _set_rule, _set_assignment, _set_children, _set_checked = (
+    Derivation.__dict__[name].__set__ for name in Derivation.__slots__)
+
+
 def _fold(d: Derivation, f):
     """f(node, results for its children) at d, computed bottom-up without
     recursion; a subtree shared within d is visited once."""
@@ -161,12 +166,31 @@ class SearchStats:
     nodes: int = 0
 
 
-@dataclass
 class ProofSearchResult:
-    status: str                     # provable | unprovable | budget
-    derivation: Derivation | None = None
-    exhaustive: bool = False
-    stats: SearchStats = field(default_factory=SearchStats)
+    """The outcome of a search.  A provable result's derivation is built
+    when `derivation` is first read, and kept.  Until then the result
+    holds a handle (cache, root, s): root is the sequent searched and
+    cached, s the sequent asked, and the derivation of s is root's padded
+    back to s."""
+
+    __slots__ = ("status", "_derivation", "exhaustive", "stats")
+
+    def __init__(self, status, derivation=None, exhaustive=False, stats=None):
+        self.status = status            # provable | unprovable | budget
+        self._derivation = derivation
+        self.exhaustive = exhaustive
+        self.stats = SearchStats() if stats is None else stats
+
+    @property
+    def derivation(self) -> Derivation | None:
+        d = self._derivation
+        if d.__class__ is tuple:
+            cache, root, s = d
+            d = _built(cache, root)
+            if root is not s:
+                d = _pad(cache.calc, d, s)
+            self._derivation = d
+        return d
 
     @property
     def provable(self):
@@ -196,10 +220,13 @@ class ProverCache:
     """Per-calculus memo shared between queries on request; it answers for
     its own calculus object only.
 
-    proved maps a sequent to its derivation, built once when the sequent
-    is proved; a node's children are the derivations stored for its
-    premises, so derivations share their subtrees.  refuted holds the
-    sequents whose searches failed exhaustively.  psi_representatives maps
+    proved maps a proved sequent to its proof record, the axiom or rule
+    instance of the searched calculus that closed it (its premises proved
+    before it, so the records form no cycle), or to its derivation once
+    one has been read: built then from the records below it, each stored
+    back in its place, so a node is built at most once and derivations
+    share their subtrees.  refuted holds the sequents whose searches
+    failed exhaustively.  psi_representatives maps
     (atom names, weight bound) to the formulas `uniform.verify_uniform`
     tests minimality against: when calc has a builtin's content, and so
     admits Cut, the first formula in corpus order of each class of
@@ -232,7 +259,6 @@ def _support(s: Sequent) -> Sequent:
 
 class _Search:
     def __init__(self, calc, budget=None, cache=None):
-        self.calc = calc
         self.searched = searched = calc.searched
         self.budget = budget or SearchBudget()
         self.cache = cache if cache is not None else ProverCache(calc)
@@ -276,7 +302,7 @@ class _Search:
             kinds = sequent_kinds(s)
             ax = axiom_instance(self.searched, s, kinds)
             if ax is not None:
-                cache.proved[s] = self._derive(s, ax, ())
+                cache.proved[s] = ax
                 newly.append(s)
                 continue
             rows = []
@@ -294,7 +320,7 @@ class _Search:
                 todo = {x for x in prems if x not in cache.proved}
                 if not todo:
                     if s not in cache.proved:
-                        cache.proved[s] = self._derive(s, inst, prems)
+                        self._close(s, inst)
                         newly.append(s)
                     continue
                 missing[(s, i)] = todo
@@ -308,7 +334,7 @@ class _Search:
                 todo = missing[(s, i)]
                 todo.discard(done)
                 if not todo:
-                    cache.proved[s] = self._derive(s, *entries[s][i])
+                    self._close(s, entries[s][i][0])
                     newly.append(s)
         for s in entries:
             if s not in cache.proved:
@@ -328,7 +354,7 @@ class _Search:
         kinds = sequent_kinds(s)
         ax = axiom_instance(self.searched, s, kinds)
         if ax is not None:
-            cache.proved[s] = self._derive(s, ax, ())
+            cache.proved[s] = ax
             return True, True
 
         if depth_left <= 1:
@@ -348,7 +374,6 @@ class _Search:
                 seen_premises.add(premises)
                 ok_all = True
                 abs_all = True
-                prems = []
                 for i, p in enumerate(premises):
                     if self.set_reduce:
                         p = _support(p)
@@ -362,9 +387,8 @@ class _Search:
                         ok_all = False
                         absolute = absolute and ab
                         break
-                    prems.append(p)
                 if ok_all:
-                    cache.proved[s] = self._derive(s, inst, prems)
+                    self._close(s, inst)
                     return True, abs_all
         finally:
             if not self.terminating:
@@ -373,40 +397,80 @@ class _Search:
             cache.refuted.add(s)
         return False, absolute
 
-    # -- derivations ---------------------------------------------------------
-
-    def _derive(self, s: Sequent, inst: RuleInstance, prems) -> Derivation:
-        """The derivation of s by the axiom or rule instance inst, whose
-        premises were searched as prems (their support forms when
-        set-reduced), each already proved: the stored derivations of prems,
-        padded back to the premises."""
+    def _close(self, s: Sequent, inst: RuleInstance):
+        """Cache inst, whose premises are all proved, as the proof record of
+        s.  A premise equal to a cached sequent is replaced by the cached
+        one, so the record keeps no second copy of it alive."""
         proved = self.cache.proved
-        children = []
-        for p, p2 in zip(inst.premises, prems):
-            child = proved[p2]
-            if p2 is not p:
-                child = _pad(self.calc, child, p)
-            children.append(child)
-        if self.searched is self.calc:
-            return Derivation(s, inst.rule.name, inst.assignment, children)
-        # inst is an instance of calc's G3 form: an axiom leaf becomes the
-        # bare axiom (its contexts bound to nothing) under weakenings, a rule
-        # node the rule of calc applied to a copy of its principal kept in
-        # the context binding (none for Cut), under contractions
-        rule, asg = inst.rule, dict(inst.assignment)
-        conc = rule.conclusion
-        for side, half in enumerate((conc.ant, conc.suc)):
-            if not rule.premises:
-                asg[half.ctx] = EMPTY
-            elif side == 0 or self.calc.mode == "multi":
-                kept = FMultiset(subst_pattern(pat, asg) for pat in half.pats)
-                asg[half.ctx] = asg[half.ctx].union(kept)
-        return _reshaped(self.calc, Derivation(instantiate(conc, asg), rule.name, asg, children), s)
+        inst._premises = tuple([p if (rec := proved.get(p)) is None else rec.conclusion
+                                for p in inst._premises])
+        proved[s] = inst
 
-    def build(self, s: Sequent, root: Sequent) -> Derivation:
-        """The stored derivation of the proved root of s, padded back to s."""
-        d = self.cache.proved[root]
-        return d if root is s else _pad(self.calc, d, s)
+    def build(self, s: Sequent, root: Sequent) -> tuple:
+        """The handle of the proved root of s (see ProofSearchResult), whose
+        derivation is built when first read."""
+        return self.cache, root, s
+
+
+# ---------------------------------------------------------------------------
+# derivations, built when first read
+
+def _built(cache: ProverCache, root: Sequent) -> Derivation:
+    """The derivation of root, a sequent cache.proved holds: each proof
+    record below it is replaced by its derivation, children first, on an
+    explicit stack (records form no cycle, and a derivation may outgrow the
+    C stack)."""
+    calc, proved = cache.calc, cache.proved
+    d = proved[root]
+    if d.__class__ is Derivation:
+        return d
+    reduce = calc.searched.wc_admissible
+    stack = [root]
+    while stack:
+        t = stack[-1]
+        inst = proved[t]
+        if inst.__class__ is Derivation:
+            stack.pop()
+            continue
+        # the premises as searched: their support forms when set-reduced
+        prems = [_support(p) for p in inst.premises] if reduce else inst.premises
+        n = len(stack)
+        for p in prems:
+            if proved[p].__class__ is not Derivation:
+                stack.append(p)
+        if len(stack) == n:
+            stack.pop()
+            # the last node built is root, at the bottom of the stack
+            d = proved[t] = _derive(calc, inst, prems, proved)
+    return d
+
+
+def _derive(calc: Calculus, inst: RuleInstance, prems, proved) -> Derivation:
+    """The derivation of inst.conclusion by the axiom or rule instance inst
+    of calc.searched, whose premises were searched as prems, each already
+    derived in proved: those derivations, padded back to the premises."""
+    children = []
+    for p, p2 in zip(inst.premises, prems):
+        child = proved[p2]
+        if p2 is not p:
+            child = _pad(calc, child, p)
+        children.append(child)
+    s = inst.conclusion
+    if calc.searched is calc:
+        return Derivation(s, inst.rule.name, inst.assignment, children)
+    # inst is an instance of calc's G3 form: an axiom leaf becomes the
+    # bare axiom (its contexts bound to nothing) under weakenings, a rule
+    # node the rule of calc applied to a copy of its principal kept in
+    # the context binding (none for Cut), under contractions
+    rule, asg = inst.rule, dict(inst.assignment)
+    conc = rule.conclusion
+    for side, half in enumerate((conc.ant, conc.suc)):
+        if not rule.premises:
+            asg[half.ctx] = EMPTY
+        elif side == 0 or calc.mode == "multi":
+            kept = FMultiset(subst_pattern(pat, asg) for pat in half.pats)
+            asg[half.ctx] = asg[half.ctx].union(kept)
+    return _reshaped(calc, Derivation(instantiate(conc, asg), rule.name, asg, children), s)
 
 
 def _pad(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
@@ -460,21 +524,27 @@ def pad_derivation(calc, d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -
     plain antecedent context (and a succedent context when multi-conclusion),
     so the surplus rides along in the context bindings that each node's own
     schema names; a node whose schema has none drops its stored assignment.
+    Built bottom-up without recursion; a subtree shared within d is padded
+    once, and the copy is shared in turn.
     """
     if not extra_ant and not extra_suc:
         return d
-    asg = d.assignment
-    if asg is not None:
-        asg = dict(asg)
-        for ctx, extra in zip(calc.contexts[not d.children, d.rule], (extra_ant, extra_suc)):
-            if extra:
-                if ctx is None:
-                    asg = None
-                    break
-                asg[ctx] = asg[ctx].union(extra)
-    children = [pad_derivation(calc, child, extra_ant, extra_suc) for child in d.children]
-    c = d.conclusion
-    return Derivation(Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc)), d.rule, asg, children)
+
+    def padded(node, children):
+        asg = node.assignment
+        if asg is not None:
+            asg = dict(asg)
+            for ctx, extra in zip(calc.contexts[not node.children, node.rule],
+                                  (extra_ant, extra_suc)):
+                if extra:
+                    if ctx is None:
+                        asg = None
+                        break
+                    asg[ctx] = asg[ctx].union(extra)
+        c = node.conclusion
+        return Derivation(Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc)),
+                          node.rule, asg, children)
+    return _fold(d, padded)
 
 
 def _padded(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
@@ -500,7 +570,9 @@ def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
     if cache is not None:
         d = cache.proved.get(root)
         if d is not None:
-            return ProofSearchResult("provable", d if root is s else _pad(calc, d, s), True)
+            if d.__class__ is not Derivation or root is not s:
+                d = cache, root, s
+            return ProofSearchResult("provable", d, True)
         if root in cache.refuted:
             return ProofSearchResult("unprovable", None, True)
     search = _Search(calc, budget, cache)
@@ -588,7 +660,7 @@ def check_derivation(calc: Calculus, d: Derivation):
         node, path, seen = stack.pop()
         if seen is not None:
             if len(defects) == seen:
-                _set(node, "checked", calc)
+                _set_checked(node, calc)
             continue
         if node.checked is calc:
             continue

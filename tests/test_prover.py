@@ -19,6 +19,8 @@ from proofkit.syntax import parse_calculus, parse_formula as pf, parse_sequent a
 from proofkit.interpolation import InterpolationProblem, craig_interpolate, formula_interpolant
 from proofkit.uniform import classical_uniform, ipc_uniform, verify_uniform
 
+from test_calculus import PARITY_CORPORA
+
 p, q = atom("p"), atom("q")
 
 
@@ -412,6 +414,119 @@ class TestRootHit:
         assert s in cache.proved
         with pytest.raises(ValueError, match="single-conclusion"):
             prove(g3ip, ps("p => p, p"), cache=cache)
+
+
+class TestDerivationOnRead:
+    """The cache keeps each proved sequent's proof record, and a derivation
+    is built only when a caller reads one: yes/no callers build none."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_CORPORA))
+    def test_status_only_prove_builds_no_derivation(self, name, monkeypatch):
+        calc = builtin(name)
+        weight, modal = PARITY_CORPORA[name]
+        built = []
+        init = Derivation.__init__
+
+        def counted(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(Derivation, "__init__", counted)
+        cache = ProverCache(calc)
+        results = [prove(calc, s, cache=cache)
+                   for s in corpus.sequents(("p", "q"), weight, calc.mode == "single", modal)]
+        proved = [r for r in results if r.provable]
+        assert proved and built == []
+        assert check_derivation(calc, proved[-1].derivation) == [] and built
+
+    @pytest.mark.parametrize("name, text", [
+        ("G4ip", "p & (p -> q) => q | r"),
+        ("G3cp", "p & p, p & p, q => p, p"),
+        ("G1cp", "p & p, p & p, q => p, p"),
+        ("G1ip", "p, p -> q, p => q"),
+    ])
+    def test_a_read_derivation_is_kept(self, name, text):
+        calc = builtin(name)
+        cache = ProverCache(calc)
+        for res in (prove(calc, ps(text), cache=cache), prove(calc, ps(text), cache=cache)):
+            d = res.derivation
+            assert d is res.derivation
+            assert d.conclusion == ps(text) and check_derivation(calc, d) == []
+
+    @pytest.mark.parametrize("name", ["G4ip", "G3ip", "G3cp", "G1ip", "G1cp"])
+    def test_sequents_proved_in_failed_searches_derive_as_roots(self, name):
+        calc = builtin(name)
+        single = calc.mode == "single"
+        seqs = list(corpus.sequents(("p", "q"), 5, single))
+        probe = ProverCache(calc)
+        refuted = [s for s in seqs if not prove(calc, s, cache=probe).provable]
+        cache = ProverCache(calc)
+        assert not any(prove(calc, s, cache=cache).provable for s in refuted)
+        # every sequent proved so far was proved inside a failed search
+        found = list(cache.proved)
+        assert any(not prove(calc, s, cache=ProverCache(calc)).derivation.is_leaf
+                   for s in found)
+        for s in found:
+            res = prove(calc, s, cache=cache)
+            assert res.provable and res.stats.nodes == 0
+            assert res.derivation.conclusion == s
+            assert check_derivation(calc, res.derivation) == [], s
+
+    @pytest.mark.parametrize("name", ["G4ip", "G3ip"])
+    def test_records_keep_the_cached_premises(self, name):
+        # a premise proved earlier is held as the cached sequent, not as an
+        # equal copy that only the record would keep alive
+        calc = builtin(name)
+        cache = ProverCache(calc)
+        for s in corpus.sequents(("p", "q"), 5, True):
+            prove(calc, s, cache=cache)
+        held = [p for rec in cache.proved.values() for p in rec.premises if p in cache.proved]
+        assert held and all(cache.proved[p].conclusion is p for p in held)
+
+    def test_status_only_g1_query_makes_no_rewrite_match(self, g1cp, monkeypatch):
+        # the G1 rewrite re-matches each structural step; a caller that
+        # reads only the status makes the G3 form's matches and no more
+        s = ps("p & p, p & p, q => p, p")
+        calls = []
+        match = calculus.match_metasequent
+
+        def counted(*args):
+            calls.append(args)
+            return match(*args)
+
+        for module in (calculus, prover):
+            monkeypatch.setattr(module, "match_metasequent", counted)
+        g3 = g1cp.searched
+        assert prove(g3, s, cache=ProverCache(g3)).provable
+        searched = len(calls)
+        calls.clear()
+        res = prove(g1cp, s, cache=ProverCache(g1cp))
+        assert res.provable and len(calls) == searched
+        assert check_derivation(g1cp, res.derivation) == []
+        assert len(calls) > searched
+
+    def test_deep_padded_derivation_reads_under_a_low_recursion_limit(self, g3ip):
+        # 1,500 nested conjunctions, each taken apart by L&, under a root
+        # padded back to its duplicate p
+        n = 1_500
+        conj_text = f"a{n}"
+        for i in reversed(range(1, n)):
+            conj_text = f"a{i} & ({conj_text})"
+        s = ps(f"p, p, {conj_text} => a{n}")
+        res = prove(g3ip, s, cache=ProverCache(g3ip))
+        assert res.provable
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1_000)
+        try:
+            d = res.derivation
+        except RecursionError:
+            # not re-raised: pytest would render a thousand frames of it
+            d = None
+        finally:
+            sys.setrecursionlimit(limit)
+        assert d is not None, "reading the derivation recursed"
+        assert d.depth() > 1_000
+        assert d.conclusion == s and check_derivation(g3ip, d) == []
 
 
 class TestDecide:
