@@ -26,7 +26,7 @@ def main():
     splits = failures = 0
     for s in corpus.sequents(names, max_weight, single=True):
         res = prove(g4, s, cache=cache)
-        if not res.provable:
+        if not res.answer():
             continue
         for gamma, pi in sub_multisets(s.ant):
             split = SplitAnt(gamma, pi, s.suc)

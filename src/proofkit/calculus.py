@@ -310,11 +310,14 @@ class Calculus:
         return Calculus(self.name, self.mode, axioms, rules, None, True)
 
     @cached_property
-    def contexts(self):
-        """{(is an axiom, name): (antecedent, succedent) context variables}
-        of each schema, None for a side without one."""
-        return {(not r.premises, r.name): (r.conclusion.ant.ctx, r.conclusion.suc.ctx)
-                for r in self.axioms + self.rules}
+    def named(self):
+        """{(is an axiom, name): the first schema of that name}; first, since
+        a cut search's calculus has one Cut per cut formula."""
+        out = {}
+        for is_axiom, schemas in ((True, self.axioms), (False, self.rules)):
+            for r in schemas:
+                out.setdefault((is_axiom, r.name), r)
+        return out
 
     @cached_property
     def dispatch(self):
@@ -337,10 +340,10 @@ class Calculus:
         return side_map(attrgetter("ant")), side_map(attrgetter("suc")), _Lookup(admitted)
 
     def rule(self, name) -> RuleSchema:
-        for r in self.rules:
-            if r.name == name:
-                return r
-        raise KeyError(name)
+        r = self.named.get((False, name))
+        if r is None:
+            raise KeyError(name)
+        return r
 
     def rule_names(self):
         return [r.name for r in self.rules]

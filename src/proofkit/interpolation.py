@@ -137,7 +137,7 @@ class _Extractor:
             if node.assignment is None:       # e.g. loaded from a .drv file
                 return axiom_interpolant(self.calc, split)
             # the checked leaf already names its axiom and its witness
-            axiom = next(a for a in self.calc.axioms if a.name == node.rule)
+            axiom = self.calc.named[True, node.rule]
             return _axiom_table(split, axiom, node.assignment)
         rule, lp, kind = self._shape(node.rule)
         asg = node.assignment

@@ -6,11 +6,12 @@ recursion is a decision procedure.  For the rest the engine keeps the current
 branch and fails on repeats; refutations computed below a repeat hit are not
 cached, so cached refutations always come from exhaustive subsearches.
 A proved sequent is cached with its proof record, the instance that closed
-it; its derivation is built when a caller first reads one, from the records
-below it, and then stored in their place, so a caller that reads only the
-answer pays for no derivation.  A query whose root (the sequent searched:
-its support form when set-reduced) is cached returns before any search is
-set up, with 0 nodes; an instance's premises are built when first tried.
+it.  A derivation read first builds every record not built yet, in proof
+order, and stores each derivation in its record's place, so a caller that
+reads only the answer pays for no derivation.  A query whose root (the
+sequent searched: its support form when set-reduced) is cached returns
+before any search is set up, with 0 nodes; an instance's premises are
+built when first tried.
 When a premise a rule declares invertible (`RuleSchema.invertible`) fails
 exhaustively, the conclusion is refuted at once and its remaining instances
 are not tried.  Instances are still tried in `match_conclusion` order, so a
@@ -167,8 +168,9 @@ class SearchStats:
 
 
 class ProofSearchResult:
-    """The outcome of a search.  A provable result's derivation is built
-    when `derivation` is first read, and kept.  Until then the result
+    """The outcome of a search.  A provable result's derivation is built,
+    with every record its cache has not built yet, when `derivation` is
+    first read, and kept.  Until then the result
     holds a handle (cache, root, s): root is the sequent searched and
     cached, s the sequent asked, and the derivation of s is root's padded
     back to s."""
@@ -186,7 +188,8 @@ class ProofSearchResult:
         d = self._derivation
         if d.__class__ is tuple:
             cache, root, s = d
-            d = _built(cache, root)
+            _drain(cache)
+            d = cache.proved[root]
             if root is not s:
                 d = _pad(cache.calc, d, s)
             self._derivation = d
@@ -221,12 +224,13 @@ class ProverCache:
     its own calculus object only.
 
     proved maps a proved sequent to its proof record, the axiom or rule
-    instance of the searched calculus that closed it (its premises proved
-    before it, so the records form no cycle), or to its derivation once
-    one has been read: built then from the records below it, each stored
-    back in its place, so a node is built at most once and derivations
-    share their subtrees.  refuted holds the sequents whose searches
-    failed exhaustively.  psi_representatives maps
+    instance of the searched calculus that closed it, or to its derivation
+    once built.  pending lists the proved sequents whose records are not
+    built yet, in proof order: a record's premises were proved before it.
+    The first derivation read drains it, building each record from its
+    premises' derivations and storing it back in its place, so a node is
+    built once and derivations share their subtrees.  refuted holds the
+    sequents whose searches failed exhaustively.  psi_representatives maps
     (atom names, weight bound) to the formulas `uniform.verify_uniform`
     tests minimality against: when calc has a builtin's content, and so
     admits Cut, the first formula in corpus order of each class of
@@ -238,6 +242,7 @@ class ProverCache:
     def __init__(self, calc: Calculus):
         self.calc = calc
         self.proved = {}
+        self.pending = []
         self.refuted = set()
         self.psi_representatives = {}
 
@@ -303,6 +308,7 @@ class _Search:
             ax = axiom_instance(self.searched, s, kinds)
             if ax is not None:
                 cache.proved[s] = ax
+                cache.pending.append(s)
                 newly.append(s)
                 continue
             rows = []
@@ -355,6 +361,7 @@ class _Search:
         ax = axiom_instance(self.searched, s, kinds)
         if ax is not None:
             cache.proved[s] = ax
+            cache.pending.append(s)
             return True, True
 
         if depth_left <= 1:
@@ -405,6 +412,7 @@ class _Search:
         inst._premises = tuple([p if (rec := proved.get(p)) is None else rec.conclusion
                                 for p in inst._premises])
         proved[s] = inst
+        self.cache.pending.append(s)
 
     def build(self, s: Sequent, root: Sequent) -> tuple:
         """The handle of the proved root of s (see ProofSearchResult), whose
@@ -415,34 +423,20 @@ class _Search:
 # ---------------------------------------------------------------------------
 # derivations, built when first read
 
-def _built(cache: ProverCache, root: Sequent) -> Derivation:
-    """The derivation of root, a sequent cache.proved holds: each proof
-    record below it is replaced by its derivation, children first, on an
-    explicit stack (records form no cycle, and a derivation may outgrow the
-    C stack)."""
+def _drain(cache: ProverCache):
+    """Replace the record of every sequent in cache.pending by its
+    derivation, in proof order, so each premise is built before the records
+    that use it.  A sequent already built is skipped, and the list is
+    cleared only once all are built, so an interrupted read strands none."""
     calc, proved = cache.calc, cache.proved
-    d = proved[root]
-    if d.__class__ is Derivation:
-        return d
     reduce = calc.searched.wc_admissible
-    stack = [root]
-    while stack:
-        t = stack[-1]
+    for t in cache.pending:
         inst = proved[t]
-        if inst.__class__ is Derivation:
-            stack.pop()
-            continue
-        # the premises as searched: their support forms when set-reduced
-        prems = [_support(p) for p in inst.premises] if reduce else inst.premises
-        n = len(stack)
-        for p in prems:
-            if proved[p].__class__ is not Derivation:
-                stack.append(p)
-        if len(stack) == n:
-            stack.pop()
-            # the last node built is root, at the bottom of the stack
-            d = proved[t] = _derive(calc, inst, prems, proved)
-    return d
+        if inst.__class__ is not Derivation:
+            # the premises as searched: their support forms when set-reduced
+            prems = [_support(p) for p in inst.premises] if reduce else inst.premises
+            proved[t] = _derive(calc, inst, prems, proved)
+    cache.pending.clear()
 
 
 def _derive(calc: Calculus, inst: RuleInstance, prems, proved) -> Derivation:
@@ -474,9 +468,33 @@ def _derive(calc: Calculus, inst: RuleInstance, prems, proved) -> Derivation:
 
 
 def _pad(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
-    """d, found for the support form of s, padded back to s: woven into
-    each node, or under calc's structural rules when searched as G3."""
-    return _padded(calc, d, s) if calc.searched is calc else _reshaped(calc, d, s)
+    """d, found for the support form of s, padded back to s: under calc's
+    structural rules when searched as G3, otherwise woven into every node.
+    The weave holds for `structural wc-admissible` calculi, whose schemas
+    all carry a plain antecedent context (and a succedent one when
+    multi-conclusion): the surplus rides in the context bindings each
+    node's schema names, and a node whose schema has none drops its stored
+    assignment.  Bottom-up without recursion; a subtree shared within d is
+    padded once, and the copy is shared in turn."""
+    if calc.searched is not calc:
+        return _reshaped(calc, d, s)
+    extra = (s.ant.difference(d.conclusion.ant), s.suc.difference(d.conclusion.suc))
+
+    def padded(node, children):
+        asg = node.assignment
+        if asg is not None:
+            asg = dict(asg)
+            conc = calc.named[not node.children, node.rule].conclusion
+            for ctx, more in zip((conc.ant.ctx, conc.suc.ctx), extra):
+                if more:
+                    if ctx is None:
+                        asg = None
+                        break
+                    asg[ctx] = asg[ctx].union(more)
+        c = node.conclusion
+        return Derivation(Sequent(c.ant.union(extra[0]), c.suc.union(extra[1])),
+                          node.rule, asg, children)
+    return _fold(d, padded)
 
 
 def _reshaped(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
@@ -517,42 +535,6 @@ def with_cut(calc: Calculus) -> Calculus:
                     calc.rules + [cut_rule(calc.mode)], None)
 
 
-def pad_derivation(calc, d: Derivation, extra_ant: FMultiset, extra_suc=EMPTY) -> Derivation:
-    """Weave extra context into every node of d, a derivation in calc.
-
-    Valid for `structural wc-admissible` calculi, whose schemas all carry a
-    plain antecedent context (and a succedent context when multi-conclusion),
-    so the surplus rides along in the context bindings that each node's own
-    schema names; a node whose schema has none drops its stored assignment.
-    Built bottom-up without recursion; a subtree shared within d is padded
-    once, and the copy is shared in turn.
-    """
-    if not extra_ant and not extra_suc:
-        return d
-
-    def padded(node, children):
-        asg = node.assignment
-        if asg is not None:
-            asg = dict(asg)
-            for ctx, extra in zip(calc.contexts[not node.children, node.rule],
-                                  (extra_ant, extra_suc)):
-                if extra:
-                    if ctx is None:
-                        asg = None
-                        break
-                    asg[ctx] = asg[ctx].union(extra)
-        c = node.conclusion
-        return Derivation(Sequent(c.ant.union(extra_ant), c.suc.union(extra_suc)),
-                          node.rule, asg, children)
-    return _fold(d, padded)
-
-
-def _padded(calc: Calculus, d: Derivation, s: Sequent) -> Derivation:
-    """d, a derivation of the support form of s, padded back to s."""
-    return pad_derivation(calc, d, s.ant.difference(d.conclusion.ant),
-                          s.suc.difference(d.conclusion.suc))
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -568,11 +550,8 @@ def prove(calc: Calculus, s: Sequent, budget: SearchBudget | None = None,
     # the sequent searched and cached: s, or its support form
     root = _support(s) if calc.searched.wc_admissible else s
     if cache is not None:
-        d = cache.proved.get(root)
-        if d is not None:
-            if d.__class__ is not Derivation or root is not s:
-                d = cache, root, s
-            return ProofSearchResult("provable", d, True)
+        if root in cache.proved:
+            return ProofSearchResult("provable", (cache, root, s), True)
         if root in cache.refuted:
             return ProofSearchResult("unprovable", None, True)
     search = _Search(calc, budget, cache)
@@ -648,7 +627,7 @@ def check_derivation(calc: Calculus, d: Derivation):
     After a walk of a subtree adds no defect its root is marked, so a node
     shared between derivations is checked once per calculus object, and a
     node is never marked while any node of its subtree is faulty.
-    Nodes made by `pad_derivation` or loaded from a `.drv` file are new and
+    Nodes made by padding or loaded from a `.drv` file are new and
     unmarked, so they are checked in full.  The walk is iterative, so depth
     is bounded by memory, not by the recursion limit."""
     defects = []
@@ -668,9 +647,9 @@ def check_derivation(calc: Calculus, d: Derivation):
         if single and not node.conclusion.is_single_conclusion():
             defects.append((path, f"multi-conclusion sequent {node.conclusion!r}"))
         # a leaf closes by an axiom, an inner node by a rule
-        kind, schemas = ("axiom", calc.axioms) if node.is_leaf else ("rule", calc.rules)
-        rule = next((r for r in schemas if r.name == node.rule), None)
+        rule = calc.named.get((node.is_leaf, node.rule))
         if rule is None:
+            kind = "axiom" if node.is_leaf else "rule"
             defects.append((path, f"unknown {kind} {node.rule!r}"))
         elif len(rule.premises) != len(node.children):
             defects.append((path, f"{node.rule} expects {len(rule.premises)} "
@@ -800,8 +779,7 @@ def admissibility_probe(calc: Calculus, rule: str, corpus, extras=None,
     checked = 0
     if rule == "Cut":
         for s in corpus:
-            with_cut = prove_with_cut(calc, s)
-            if not with_cut.provable:
+            if not prove_with_cut(calc, s).answer():
                 continue
             checked += 1
             if not prove(calc, s, cache=cache).answer():

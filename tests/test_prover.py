@@ -528,6 +528,63 @@ class TestDerivationOnRead:
         assert d.depth() > 1_000
         assert d.conclusion == s and check_derivation(g3ip, d) == []
 
+    def test_one_read_builds_every_record(self, g4ip):
+        # records of failed branches too, not only those below the root
+        cache = ProverCache(g4ip)
+        results = [prove(g4ip, s, cache=cache) for s in corpus.sequents(("p", "q"), 5, True)]
+        assert any(not r.provable for r in results)
+        next(r for r in results if r.provable).derivation
+        assert all(v.__class__ is Derivation for v in cache.proved.values())
+        assert cache.pending == []
+
+    def test_each_record_is_built_once(self, g4ip, monkeypatch):
+        built = []
+        init = Derivation.__init__
+
+        def counted(self, *args):
+            built.append(args[0])
+            init(self, *args)
+
+        monkeypatch.setattr(Derivation, "__init__", counted)
+        weight, modal = PARITY_CORPORA["G4ip"]
+        cache = ProverCache(g4ip)
+        results = [prove(g4ip, s, cache=cache) for s in corpus.sequents(("p", "q"), weight, True)]
+        for r in results:
+            r.derivation
+        assert len(built) == len(cache.proved)
+
+    def test_sequents_proved_in_a_budget_search_are_built_later(self, g4ip):
+        cache = ProverCache(g4ip)
+        s = ps("p & q, r & s => (q & p) & (s & r)")
+        assert prove(g4ip, s, SearchBudget(max_nodes=8), cache=cache).status == "budget"
+        stranded = list(cache.proved)
+        assert stranded
+        assert prove(g4ip, ps("p => p"), cache=cache).derivation.is_leaf
+        for t in stranded:
+            d = cache.proved[t]
+            assert d.__class__ is Derivation and d.conclusion == t
+            assert check_derivation(g4ip, d) == [], t
+        assert not all(cache.proved[t].is_leaf for t in stranded)
+
+    def test_an_interrupted_read_strands_no_record(self, g3ip, monkeypatch):
+        derive = prover._derive
+        calls = []
+
+        def failing_once(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise RuntimeError("interrupted")
+            return derive(*args)
+
+        monkeypatch.setattr(prover, "_derive", failing_once)
+        s = ps("p, p, p & q, q -> r => r & (q & p)")
+        res = prove(g3ip, s, cache=ProverCache(g3ip))
+        with pytest.raises(RuntimeError):
+            res.derivation
+        d = res.derivation
+        assert len(calls) > 3
+        assert d.conclusion == s and check_derivation(g3ip, d) == []
+
 
 class TestDecide:
     def test_named_formulas(self):
@@ -602,6 +659,12 @@ class TestCut:
             (s for s in corpus.sequents(("p", "q"), 4)), 200))
         report = admissibility_probe(g3cp, "Cut", cs)
         assert report.ok, report.render()
+
+    def test_cut_probe_raises_on_a_budget_search(self, g4ip, monkeypatch):
+        # a cut search out of budget has no answer: not a skipped case
+        monkeypatch.setattr(prover, "CUT_BUDGET", SearchBudget(max_depth=64, max_nodes=100))
+        with pytest.raises(prover.BudgetExceeded):
+            admissibility_probe(g4ip, "Cut", [ps("=> ~p")])
 
 
 class TestInversion:
